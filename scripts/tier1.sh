@@ -7,6 +7,8 @@
 # shard-residency fault/evict churn soak from test_residency.
 #
 # Usage: scripts/tier1.sh [build-dir] [tsan-build-dir]
+# The regular build (tests, benches, examples) fails on any compiler
+# warning.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -14,7 +16,7 @@ build_dir="${1:-$repo_root/build}"
 tsan_dir="${2:-$repo_root/build-tsan}"
 
 echo "== tier-1: regular build + full test suite =="
-cmake -B "$build_dir" -S "$repo_root"
+cmake -B "$build_dir" -S "$repo_root" -DVP_WARNINGS_AS_ERRORS=ON
 cmake --build "$build_dir" -j
 ctest --test-dir "$build_dir" --output-on-failure -j
 

@@ -128,6 +128,23 @@ std::vector<std::uint32_t> PlaceShard::scene_votes(
   return votes;
 }
 
+const Bytes& PlaceShard::oracle_reply() const {
+  OracleReplySlot& slot = oracle_reply_slot;
+  std::call_once(slot.packed, [&] {
+    // A PQ-ready shard ships its codebook with the oracle, so the client
+    // can encode compact (v4) query fingerprints against this exact epoch.
+    slot.bytes = OracleDownload::pack(oracle, epoch, place,
+                                      index.pq_ready()
+                                          ? index.pq_codebook().raw()
+                                          : std::span<const std::uint8_t>{})
+                     .encode();
+    VP_OBS_COUNT("store.oracle_packs", 1);
+    VP_OBS_GAUGE_SET("store.bytes.oracle_reply." + place,
+                     static_cast<double>(slot.bytes.size()));
+  });
+  return slot.bytes;
+}
+
 namespace {
 
 void ingest_into(PlaceShard& shard, const Feature& feature,
@@ -197,23 +214,39 @@ void MapStore::ingest_wardrive(const std::string& place,
                                std::span<const KeypointMapping> mappings,
                                const ServerConfig* config) {
   prepare_write(place);
-  std::lock_guard lock(write_mutex_);
-  Builder& b = builder_locked(place, config);
-  for (const auto& m : mappings) {
-    ingest_into(*b.shard, m.feature, m.world_position, -1, m.snapshot);
+  std::lock_guard publishing(publish_mutex_);
+  std::shared_ptr<const PlaceShard> published;
+  std::shared_ptr<const PlaceShard> current;  // held: no address reuse
+  {
+    std::lock_guard lock(write_mutex_);
+    Builder& b = builder_locked(place, config);
+    for (const auto& m : mappings) {
+      ingest_into(*b.shard, m.feature, m.world_position, -1, m.snapshot);
+    }
+    published = snapshot_locked(b);
+    const auto map = state();
+    const auto it = map->find(place);
+    if (it != map->end()) current = it->second;
   }
-  b.dirty = true;
-  publish_locked(place, b);
+  // Pack the download here, on the writer, before any reader can see the
+  // epoch: otherwise every client refetching after this publish would
+  // race to pay the zlib pass inside one of its own fixes. Only
+  // publish_mutex_ is held, so faults, flushes and single ingests proceed.
+  published->oracle_reply();
+  std::lock_guard lock(write_mutex_);
+  const auto map = state();
+  const auto it = map->find(place);
+  // A read-path flush (newer epoch of this builder) or restore_shard
+  // replaced the place while we packed; that state supersedes ours.
+  if ((it == map->end() ? nullptr : it->second) != current) return;
+  install_locked(place, published);
 }
 
 void MapStore::publish(const std::string& place) {
-  prepare_write(place);
-  std::lock_guard lock(write_mutex_);
-  Builder& b = builder_locked(place, nullptr);
-  publish_locked(place, b);
+  ingest_wardrive(place, {});
 }
 
-void MapStore::publish_locked(const std::string& place, Builder& b) {
+std::shared_ptr<const PlaceShard> MapStore::snapshot_locked(Builder& b) {
   b.shard->epoch += 1;
   // PQ mode trains on the builder *before* the copy below, so the
   // published immutable shard always carries a ready codebook + codes
@@ -223,27 +256,32 @@ void MapStore::publish_locked(const std::string& place, Builder& b) {
   if (b.shard->config.index.pq.enabled) {
     b.shard->index.train_pq();
   }
+  b.dirty = false;
   // Copy-on-publish: the builder stays the stable mutable copy (its
   // address never changes, so writer-side references remain valid); the
   // published shard is an immutable deep copy readers share.
-  auto published = std::make_shared<const PlaceShard>(*b.shard);
+  return std::make_shared<const PlaceShard>(*b.shard);
+}
+
+void MapStore::install_locked(
+    const std::string& place,
+    const std::shared_ptr<const PlaceShard>& published) {
   auto next = std::make_shared<ShardMap>(*state());
-  (*next)[place] = std::move(published);
+  (*next)[place] = published;
   const std::size_t shards = next->size();
-  state_.store(std::shared_ptr<const ShardMap>(std::move(next)),
-               std::memory_order_release);
+  set_state(std::move(next));
   swap_count_.fetch_add(1, std::memory_order_relaxed);
-  b.dirty = false;
   VP_OBS_COUNT("store.swaps", 1);
   VP_OBS_GAUGE_SET("store.shards", static_cast<double>(shards));
   VP_OBS_GAUGE_SET("store.epoch." + place,
-                   static_cast<double>(b.shard->epoch));
+                   static_cast<double>(published->epoch));
   VP_OBS_GAUGE_SET("store.bytes.descriptors." + place,
-                   static_cast<double>(b.shard->index.descriptor_bytes()));
+                   static_cast<double>(published->index.descriptor_bytes()));
   VP_OBS_GAUGE_SET("store.bytes.pq." + place,
-                   static_cast<double>(b.shard->index.pq_bytes()));
-  VP_OBS_GAUGE_SET("index.rerank_depth",
-                   static_cast<double>(b.shard->config.index.pq.rerank_depth));
+                   static_cast<double>(published->index.pq_bytes()));
+  VP_OBS_GAUGE_SET(
+      "index.rerank_depth",
+      static_cast<double>(published->config.index.pq.rerank_depth));
 }
 
 void MapStore::restore_shard(std::unique_ptr<PlaceShard> shard) {
@@ -258,8 +296,7 @@ void MapStore::restore_shard(std::unique_ptr<PlaceShard> shard) {
   auto next = std::make_shared<ShardMap>(*state());
   (*next)[place] = std::move(published);
   const std::size_t shards = next->size();
-  state_.store(std::shared_ptr<const ShardMap>(std::move(next)),
-               std::memory_order_release);
+  set_state(std::move(next));
   swap_count_.fetch_add(1, std::memory_order_relaxed);
   VP_OBS_GAUGE_SET("store.shards", static_cast<double>(shards));
 }
@@ -279,8 +316,7 @@ void MapStore::register_cold_shard(ShardResidencyManager::Manifest manifest) {
   if (state()->find(place) != state()->end()) {
     auto next = std::make_shared<ShardMap>(*state());
     next->erase(place);
-    state_.store(std::shared_ptr<const ShardMap>(std::move(next)),
-                 std::memory_order_release);
+    set_state(std::move(next));
     swap_count_.fetch_add(1, std::memory_order_relaxed);
   }
   residency_->register_cold(std::move(manifest));
@@ -352,8 +388,7 @@ std::shared_ptr<const PlaceShard> MapStore::install_loaded(
   const auto victims = self->residency_->finish_load(place, bytes);
   for (const auto& victim : victims) next->erase(victim);
   const std::size_t shards = next->size();
-  self->state_.store(std::shared_ptr<const ShardMap>(std::move(next)),
-                     std::memory_order_release);
+  self->set_state(std::move(next));
   // Wake single-flight waiters only now that the map store is visible:
   // they re-read the map on wakeup and must find the shard there.
   self->residency_->notify_waiters();
@@ -376,8 +411,7 @@ void MapStore::set_resident_budget(std::size_t bytes) {
   if (!victims.empty()) {
     auto next = std::make_shared<ShardMap>(*state());
     for (const auto& victim : victims) next->erase(victim);
-    state_.store(std::shared_ptr<const ShardMap>(std::move(next)),
-                 std::memory_order_release);
+    set_state(std::move(next));
     swap_count_.fetch_add(1, std::memory_order_relaxed);
     VP_OBS_COUNT("store.lru.evictions",
                  static_cast<std::uint64_t>(victims.size()));
@@ -415,7 +449,7 @@ void MapStore::flush() const {
   std::lock_guard lock(self->write_mutex_);
   if (!self->any_dirty_.load(std::memory_order_acquire)) return;
   for (auto& [place, b] : self->builders_) {
-    if (b.dirty) self->publish_locked(place, b);
+    if (b.dirty) self->install_locked(place, self->snapshot_locked(b));
   }
   self->any_dirty_.store(false, std::memory_order_release);
 }
@@ -522,17 +556,18 @@ LocationResponse MapStore::localize(const FingerprintQuery& query,
   return *best;
 }
 
-OracleDownload MapStore::oracle_snapshot(const std::string& place) const {
+std::shared_ptr<const Bytes> MapStore::oracle_reply(
+    const std::string& place) const {
   const std::string& id = place.empty() ? default_place_ : place;
   // A client download is a first-class read: fault the shard in if cold.
-  const auto shard = fault_in(id);
+  auto shard = fault_in(id);
   VP_REQUIRE(shard != nullptr, "oracle snapshot of unknown place: " + id);
-  // A PQ-ready shard ships its codebook with the oracle, so the client can
-  // encode compact (v4) query fingerprints against this exact epoch.
-  return OracleDownload::pack(shard->oracle, shard->epoch, shard->place,
-                              shard->index.pq_ready()
-                                  ? shard->index.pq_codebook().raw()
-                                  : std::span<const std::uint8_t>{});
+  const Bytes& bytes = shard->oracle_reply();
+  return {std::move(shard), &bytes};
+}
+
+OracleDownload MapStore::oracle_snapshot(const std::string& place) const {
+  return OracleDownload::decode(*oracle_reply(place));
 }
 
 void MapStore::set_pool(ThreadPool* pool) {

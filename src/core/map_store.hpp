@@ -8,14 +8,19 @@
 //
 //   - Each place's state (stored keypoints + LshIndex + UniquenessOracle +
 //     label + epoch) lives in an immutable PlaceShard.
-//   - Readers obtain the current shard set through one atomic
-//     shared_ptr load (RCU-style snapshot); the query hot path takes no
-//     locks and never observes a half-ingested shard.
+//   - Readers obtain the current shard set through one shared_ptr copy
+//     (RCU-style snapshot, behind a mutex held only for the copy); the
+//     query hot path never observes a half-ingested shard.
 //   - Writers mutate a private per-place builder under a mutex, then
 //     *publish*: copy the builder into a fresh immutable shard, swap the
 //     shard map pointer atomically, and bump the place's oracle epoch.
 //     In-flight queries keep their old snapshot alive via shared_ptr
 //     refcounts; new queries see the new epoch.
+//   - Each published snapshot owns one slot for its encoded oracle
+//     download (the `'O'` reply), filled at most once: by the explicit
+//     publish that creates the snapshot, or by the first download of a
+//     snapshot that arrived any other way (restore, fault-in, read-path
+//     flush). The bytes live and die with their epoch's snapshot.
 //
 // Epochs are the client-visible version of a place's oracle: every publish
 // increments them, oracle downloads carry them, and queries echo them so
@@ -108,13 +113,38 @@ struct PlaceShard {
   /// query features whose accepted nearest neighbor belongs to scene s.
   std::vector<std::uint32_t> scene_votes(std::span<const Feature> features,
                                          ThreadPool* pool = nullptr) const;
+
+  /// This snapshot's encoded oracle download — exactly
+  /// `OracleDownload::pack(oracle, epoch, place, codebook).encode()`, the
+  /// codebook present when the index is PQ-ready. Packed once, single-
+  /// flight, on first call (concurrent callers wait for that one pack);
+  /// later calls return the same bytes. Call only on published snapshots:
+  /// a builder keeps changing under its slot.
+  const Bytes& oracle_reply() const;
+
+  /// Storage behind oracle_reply(). A copied shard starts with an empty
+  /// slot: every copy is a new snapshot or a mutable builder, so encoded
+  /// bytes never outlive the state they encode.
+  struct OracleReplySlot {
+    OracleReplySlot() = default;
+    OracleReplySlot(const OracleReplySlot&) {}
+    OracleReplySlot& operator=(const OracleReplySlot&) = delete;
+
+    std::once_flag packed;  ///< the single flight
+    Bytes bytes;            ///< immutable once `packed` has run
+  };
+  mutable OracleReplySlot oracle_reply_slot;
 };
 
 /// The sharded store. Thread-safety contract:
-///   - `localize`, `snapshot`, `snapshots`, `oracle_snapshot` are safe to
-///     call from any number of threads concurrently with any writer.
+///   - `localize`, `snapshot`, `snapshots`, `oracle_reply` and
+///     `oracle_snapshot` are safe to call from any number of threads
+///     concurrently with any writer.
 ///   - Writers (`ingest*`, `publish`, `restore_shard`) serialize on an
-///     internal mutex; concurrent writers are safe but sequenced.
+///     internal mutex; concurrent writers are safe but sequenced. The
+///     explicit publishes (`ingest_wardrive`, `publish`) pack the new
+///     snapshot's oracle download with that mutex released, so reads that
+///     fault a cold shard in or flush a builder do not wait for zlib.
 ///   - `builder_shard` returns writer-side mutable state and is intended
 ///     for single-threaded setup/inspection (tests, benches, tools), like
 ///     the original monolithic server's accessors.
@@ -144,13 +174,20 @@ class MapStore {
               std::uint32_t source_id = 0);
 
   /// Bulk ingest of a wardrive result into `place`, then publish: one
-  /// builder copy, one atomic swap, epoch+1. `config`, when given, seeds
-  /// the place's parameters on first contact (ignored afterwards).
+  /// builder copy, one oracle-download pack, one atomic swap, epoch+1.
+  /// The pack runs after the writer mutex is released and before the
+  /// swap; if a read-path flush or restore_shard installs a newer state
+  /// for the place meanwhile, that state wins and this snapshot is
+  /// dropped. `config`, when given, seeds the place's parameters on first
+  /// contact (ignored afterwards).
   void ingest_wardrive(const std::string& place,
                        std::span<const KeypointMapping> mappings,
                        const ServerConfig* config = nullptr);
 
   /// Publish `place`'s builder now (no-op epoch bump if nothing pending).
+  /// ingest_wardrive with no mappings: packs the new snapshot's oracle
+  /// download before the swap, so no client download after it pays
+  /// compression.
   void publish(const std::string& place);
 
   /// Install a fully-built shard (persistence load path): builder and
@@ -183,7 +220,7 @@ class MapStore {
     return *residency_;
   }
 
-  // --- reader API (lock-free once pending writes are flushed) -----------
+  // --- reader API (no writer lock once pending writes are flushed) ------
 
   /// Current immutable snapshot of one place; nullptr when unknown OR
   /// registered but cold (metadata readers must not fault shards in —
@@ -203,8 +240,14 @@ class MapStore {
   /// fan-out: one anonymous query must not page the whole tier in.
   LocationResponse localize(const FingerprintQuery& query, Rng& rng) const;
 
-  /// Epoch'd oracle snapshot for client download. Empty `place` means the
-  /// default place. Throws InvalidArgument for an unknown place.
+  /// Encoded oracle download of `place`'s current snapshot (empty `place`
+  /// = default place): its PlaceShard::oracle_reply() bytes, faulting a
+  /// cold shard in and packing on first request. The returned pointer pins
+  /// the snapshot. Throws InvalidArgument for an unknown place.
+  std::shared_ptr<const Bytes> oracle_reply(const std::string& place) const;
+
+  /// oracle_reply() decoded: the epoch'd oracle download a client
+  /// installs. Same place rules and errors.
   OracleDownload oracle_snapshot(const std::string& place) const;
 
   /// Attach (or detach, with nullptr) the borrowed fan-out worker pool.
@@ -260,9 +303,22 @@ class MapStore {
   void flush() const;
 
   Builder& builder_locked(const std::string& place, const ServerConfig* cfg);
-  void publish_locked(const std::string& place, Builder& b);
+  /// Bump the builder's epoch and copy it into a fresh snapshot (not yet
+  /// visible to readers). Caller holds write_mutex_.
+  std::shared_ptr<const PlaceShard> snapshot_locked(Builder& b);
+  /// Swap `published` in as `place`'s snapshot. Caller holds write_mutex_.
+  void install_locked(const std::string& place,
+                      const std::shared_ptr<const PlaceShard>& published);
   std::shared_ptr<const ShardMap> state() const {
-    return state_.load(std::memory_order_acquire);
+    std::lock_guard lock(state_mutex_);
+    return state_;
+  }
+  void set_state(std::shared_ptr<const ShardMap> next) {
+    {
+      std::lock_guard lock(state_mutex_);
+      state_.swap(next);
+    }
+    // `next` now holds the old map; release it outside the lock.
   }
 
   /// Write-path prologue for residency-managed places: fault the shard in,
@@ -281,11 +337,19 @@ class MapStore {
   ServerConfig default_config_;
   std::string default_place_;
 
+  /// Sequences explicit publishes, which hold it across their pack; lock
+  /// order publish_mutex_ -> write_mutex_.
+  std::mutex publish_mutex_;
   mutable std::mutex write_mutex_;              ///< writers + flush
   std::map<std::string, Builder, std::less<>> builders_;  ///< guarded
   std::atomic<bool> any_dirty_{false};
 
-  std::atomic<std::shared_ptr<const ShardMap>> state_;
+  // The published shard map. A mutex rather than atomic<shared_ptr>:
+  // libstdc++ 12's atomic<shared_ptr> is not lock-free either, and its
+  // load releases its internal lock with relaxed ordering, so a reader's
+  // copy does not happen-before the next swap (a race TSan reports).
+  mutable std::mutex state_mutex_;
+  std::shared_ptr<const ShardMap> state_;  ///< guarded by state_mutex_
   std::atomic<std::uint64_t> swap_count_{0};
 
   // Residency policy + accounting for lazily-registered shards. Behind a

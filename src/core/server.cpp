@@ -25,6 +25,20 @@ struct InflightGuard {
   InflightGuard& operator=(const InflightGuard&) = delete;
 };
 
+/// The kStaleOracle reply to a query built against state its place has
+/// since replaced (an oracle epoch or a codebook epoch): counts `counter`
+/// and tags the slow-log entry so the client refreshes and resends.
+Bytes stale_reply([[maybe_unused]] const char* counter, std::string message,
+                  const std::string& place, obs::SlowQuery& slow) {
+  VP_OBS_COUNT(counter, 1);
+  slow.error_code = ErrorResponse::kStaleOracle;
+  slow.place = place;
+  ErrorResponse err;
+  err.code = ErrorResponse::kStaleOracle;
+  err.message = std::move(message);
+  return err.encode();
+}
+
 }  // namespace
 
 VisualPrintServer::VisualPrintServer(ServerConfig config)
@@ -91,10 +105,12 @@ Bytes VisualPrintServer::handle_request(std::span<const std::uint8_t> request,
   const auto body = request.subspan(1);
   if (tag == kOracleRequest) {
     // Legacy bare 'O' (empty body) resolves to the default place; a body
-    // is an OracleRequest naming the shard.
-    if (body.empty()) return store_->oracle_snapshot({}).encode();
-    const OracleRequest req = OracleRequest::decode(body);
-    return store_->oracle_snapshot(req.place).encode();
+    // is an OracleRequest naming the shard. The reply is the snapshot's
+    // already-encoded download (packed once per published epoch).
+    const std::string place =
+        body.empty() ? std::string{} : OracleRequest::decode(body).place;
+    const auto reply = store_->oracle_reply(place);
+    return Bytes(reply->begin(), reply->end());
   }
   if (tag == kQueryRequest) {
     return handle_query(body, solver_seed);
@@ -155,60 +171,51 @@ Bytes VisualPrintServer::handle_query(std::span<const std::uint8_t> body,
   obs::SlowQuery slow;
   Bytes reply;
   const FingerprintQuery query = FingerprintQuery::decode(body);
-  VP_OBS_OBSERVE("net.query_bytes", static_cast<double>(body.size()));
+  VP_OBS_OBSERVE_IN("net.query_bytes", obs::HistogramBuckets::bytes(),
+                    static_cast<double>(body.size()));
   slow.trace_id = query.trace_id;
   slow.frame_id = query.frame_id;
   if (query.trace_id != 0) {
     runtime_->queries_traced.fetch_add(1, std::memory_order_relaxed);
   }
-  bool stale = false;
+  // A query built against state the place has since replaced is answered
+  // kStaleOracle (reply set) instead of being localized.
+  const std::string& place =
+      query.place.empty() ? store_->default_place() : query.place;
   if (query.compact()) {
     VP_OBS_COUNT("server.compact_decode", 1);
     // A compact query's codes are only rankable against the codebook epoch
     // the client encoded with. Epoch/mode come from metadata (manifest for
     // cold shards) so the gate never faults a shard in; an unknown place
     // falls through to localize() and its structured miss.
-    const std::string& place =
-        query.place.empty() ? store_->default_place() : query.place;
     const std::uint32_t current = store_->epoch(place);
     const std::string_view mode = store_->storage_mode(place);
     if (current != 0 &&
         (mode != "pq" || current != query.codebook_epoch)) {
-      VP_OBS_COUNT("server.stale_codebook", 1);
-      ErrorResponse err;
-      err.code = ErrorResponse::kStaleOracle;
-      err.message = "codebook epoch " + std::to_string(query.codebook_epoch) +
-                    " for place '" + place + "' cannot rank compact codes: " +
-                    (mode == "pq" ? "superseded by epoch " +
-                                        std::to_string(current)
-                                  : "place is not PQ-indexed");
-      slow.error_code = ErrorResponse::kStaleOracle;
-      slow.place = place;
-      reply = err.encode();
-      stale = true;
+      reply = stale_reply(
+          "server.stale_codebook",
+          "codebook epoch " + std::to_string(query.codebook_epoch) +
+              " for place '" + place + "' cannot rank compact codes: " +
+              (mode == "pq" ? "superseded by epoch " + std::to_string(current)
+                            : "place is not PQ-indexed"),
+          place, slow);
     }
   }
-  if (!stale && query.oracle_epoch != 0) {
+  if (reply.empty() && query.oracle_epoch != 0) {
     // The client ranked its keypoints against an epoch'd oracle; if the
     // place has republished since, tell it to refresh instead of
     // localizing against selections an outdated uniqueness table made.
-    const std::string& place =
-        query.place.empty() ? store_->default_place() : query.place;
     const auto shard = store_->snapshot(place);
     if (shard != nullptr && shard->epoch != query.oracle_epoch) {
-      VP_OBS_COUNT("server.stale_oracle", 1);
-      ErrorResponse err;
-      err.code = ErrorResponse::kStaleOracle;
-      err.message = "oracle epoch " + std::to_string(query.oracle_epoch) +
-                    " for place '" + place + "' superseded by epoch " +
-                    std::to_string(shard->epoch);
-      slow.error_code = ErrorResponse::kStaleOracle;
-      slow.place = place;
-      reply = err.encode();
-      stale = true;
+      reply = stale_reply("server.stale_oracle",
+                          "oracle epoch " + std::to_string(query.oracle_epoch) +
+                              " for place '" + place +
+                              "' superseded by epoch " +
+                              std::to_string(shard->epoch),
+                          place, slow);
     }
   }
-  if (!stale) {
+  if (reply.empty()) {
     // Per-query rng: deterministic for a given (seed, frame) and safe when
     // serve() runs handlers concurrently on pool workers.
     Rng solver_rng(solver_seed ^ (0x51ULL << 56) ^ query.frame_id);

@@ -79,7 +79,9 @@ class VisualPrintServer {
 
   /// Dispatch one framed TCP request (tag byte + encoded body) to the
   /// matching handler: 'O' -> OracleDownload (empty body = default place,
-  /// else an OracleRequest naming the shard), 'Q' -> LocationResponse,
+  /// else an OracleRequest naming the shard; the snapshot's bytes, packed
+  /// once per published epoch — see MapStore::oracle_reply),
+  /// 'Q' -> LocationResponse,
   /// 'S' -> StatsResponse rendered from the global obs registry. A query
   /// whose oracle_epoch no longer matches its place's published epoch
   /// returns an encoded ErrorResponse{kStaleOracle} so the client can

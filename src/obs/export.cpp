@@ -59,10 +59,10 @@ std::string to_json_lines(const MetricsSnapshot& snapshot,
   for (const auto& h : snapshot.histograms) {
     out += prefix + "\"type\":\"histogram\",\"name\":\"" +
            json_escape(h.name) + "\",\"count\":" + std::to_string(h.count) +
-           ",\"sum_ms\":" + fmt(h.sum);
+           ",\"sum_" + h.unit + "\":" + fmt(h.sum);
     for (const double p : {50.0, 90.0, 99.0}) {
-      out += ",\"p" + std::to_string(static_cast<int>(p)) +
-             "_ms\":" + fmt(estimate_percentile(h.upper_bounds, h.counts, p));
+      out += ",\"p" + std::to_string(static_cast<int>(p)) + "_" + h.unit +
+             "\":" + fmt(estimate_percentile(h.upper_bounds, h.counts, p));
     }
     out += ",\"buckets\":[";
     for (std::size_t b = 0; b < h.counts.size(); ++b) {
@@ -89,7 +89,7 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
     out += name + " " + fmt(g.value) + "\n";
   }
   for (const auto& h : snapshot.histograms) {
-    const std::string name = prom_name(h.name) + "_ms";
+    const std::string name = prom_name(h.name + "_" + h.unit);
     out += "# TYPE " + name + " histogram\n";
     std::uint64_t cumulative = 0;
     for (std::size_t b = 0; b < h.counts.size(); ++b) {

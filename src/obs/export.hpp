@@ -19,12 +19,15 @@ namespace vp::obs {
 ///    "buckets":[[0.05,1],[0.1,2],["+inf",0]]}
 /// A non-empty `bench` tag prefixes every line with "bench":"<tag>", matching
 /// the existing bench output convention so downstream parsing stays uniform.
+/// Histogram sum and percentile keys carry the histogram's unit ("sum_ms",
+/// "sum_bytes").
 std::string to_json_lines(const MetricsSnapshot& snapshot,
                           std::string_view bench = {});
 
 /// Prometheus text exposition (untyped timestamps-free subset):
 /// counters as vp_<name>_total, gauges as vp_<name>, histograms as
-/// vp_<name>_ms with cumulative le-labelled buckets, _sum, and _count.
+/// vp_<name>_<unit> (vp_<name>_ms for latencies) with cumulative
+/// le-labelled buckets, _sum, and _count.
 /// Metric names are sanitized to [a-zA-Z0-9_].
 std::string to_prometheus(const MetricsSnapshot& snapshot);
 

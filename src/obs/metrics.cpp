@@ -49,11 +49,19 @@ HistogramBuckets HistogramBuckets::latency_ms() {
   return exponential(0.05, 2.0, 20);
 }
 
+HistogramBuckets HistogramBuckets::bytes() {
+  // 64 B doubling 20 times tops out at 32 MiB: a 4055 B compact query and
+  // a 28842 B raw one both land in finite buckets.
+  return exponential(64, 2.0, 20, "bytes");
+}
+
 HistogramBuckets HistogramBuckets::exponential(double lo, double factor,
-                                               std::size_t n) {
+                                               std::size_t n,
+                                               std::string unit) {
   VP_REQUIRE(lo > 0 && factor > 1 && n > 0,
              "exponential buckets need lo > 0, factor > 1, n > 0");
   HistogramBuckets b;
+  b.unit = std::move(unit);
   b.upper_bounds.reserve(n);
   double bound = lo;
   for (std::size_t i = 0; i < n; ++i) {
@@ -64,7 +72,8 @@ HistogramBuckets HistogramBuckets::exponential(double lo, double factor,
 }
 
 LatencyHistogram::LatencyHistogram(HistogramBuckets buckets)
-    : bounds_(std::move(buckets.upper_bounds)) {
+    : bounds_(std::move(buckets.upper_bounds)),
+      unit_(std::move(buckets.unit)) {
   VP_REQUIRE(!bounds_.empty(), "histogram needs at least one bound");
   VP_REQUIRE(std::is_sorted(bounds_.begin(), bounds_.end()) &&
                  std::adjacent_find(bounds_.begin(), bounds_.end()) ==
@@ -76,12 +85,12 @@ LatencyHistogram::LatencyHistogram(HistogramBuckets buckets)
   }
 }
 
-void LatencyHistogram::record(double ms) noexcept {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), ms);
+void LatencyHistogram::record(double value) noexcept {
+  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
   Shard& shard = *shards_[detail::shard_index()];
   shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  detail::add_double(shard.sum, ms);
+  detail::add_double(shard.sum, value);
 }
 
 std::vector<std::uint64_t> LatencyHistogram::bucket_counts() const {
@@ -219,6 +228,7 @@ MetricsSnapshot Registry::snapshot() const {
   for (const auto& [name, h] : histograms_) {
     HistogramSample s;
     s.name = name;
+    s.unit = h->unit();
     s.upper_bounds = h->upper_bounds();
     s.counts = h->bucket_counts();
     for (std::uint64_t c : s.counts) s.count += c;

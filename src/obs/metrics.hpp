@@ -1,6 +1,7 @@
-// Process-wide metrics registry: counters, gauges, and fixed-bucket latency
-// histograms with lock-free thread-sharded updates, safe under the borrowed
-// ThreadPool that drives the client frame path.
+// Process-wide metrics registry: counters, gauges, and fixed-bucket
+// histograms (latencies in ms by default, any unit by layout) with
+// lock-free thread-sharded updates, safe under the borrowed ThreadPool that
+// drives the client frame path.
 //
 // Updates never take a lock: each metric keeps a small power-of-two array of
 // cache-line-aligned shards and a thread hashes to a fixed shard for its
@@ -75,27 +76,37 @@ class Gauge {
 
 /// Bucket layout for a LatencyHistogram: strictly increasing finite upper
 /// bounds; an implicit +Inf bucket catches everything above the last bound.
+/// `unit` names what the bounds measure; exporters suffix it onto the
+/// series (`sum_ms`, Prometheus `vp_<name>_bytes`).
 struct HistogramBuckets {
   std::vector<double> upper_bounds;
+  std::string unit = "ms";
 
   /// Default latency layout: 0.05 ms .. ~26 s, geometric (x2 per bucket).
   /// Covers sub-ms span costs through multi-second phone-scaled SIFT.
   static HistogramBuckets latency_ms();
 
+  /// Message-size layout: 64 B .. 32 MiB, geometric (x2 per bucket).
+  /// Covers a compact query (~4 KB) through a full oracle download.
+  static HistogramBuckets bytes();
+
   /// `n` bounds starting at `lo`, each `factor` times the previous.
-  static HistogramBuckets exponential(double lo, double factor, std::size_t n);
+  static HistogramBuckets exponential(double lo, double factor, std::size_t n,
+                                      std::string unit = "ms");
 };
 
-/// Fixed-bucket histogram of millisecond latencies.
+/// Fixed-bucket histogram; values are in its layout's unit (milliseconds
+/// for the default latency layout).
 class LatencyHistogram {
  public:
   explicit LatencyHistogram(HistogramBuckets buckets);
   LatencyHistogram(const LatencyHistogram&) = delete;
   LatencyHistogram& operator=(const LatencyHistogram&) = delete;
 
-  void record(double ms) noexcept;
+  void record(double value) noexcept;
 
   const std::vector<double>& upper_bounds() const noexcept { return bounds_; }
+  const std::string& unit() const noexcept { return unit_; }
   /// Per-bucket counts, size upper_bounds().size() + 1 (last is +Inf).
   std::vector<std::uint64_t> bucket_counts() const;
   std::uint64_t total_count() const noexcept;
@@ -115,6 +126,7 @@ class LatencyHistogram {
     std::atomic<double> sum{0.0};
   };
   std::vector<double> bounds_;
+  std::string unit_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
@@ -133,6 +145,7 @@ struct HistogramSample {
   std::vector<std::uint64_t> counts;  ///< size upper_bounds + 1 (+Inf last)
   std::uint64_t count = 0;
   double sum = 0;
+  std::string unit = "ms";  ///< what `sum` and the bounds measure
 };
 struct MetricsSnapshot {
   std::vector<CounterSample> counters;
@@ -200,8 +213,13 @@ class Registry {
   ::vp::obs::Registry::global().gauge(name).set(v)
 #define VP_OBS_OBSERVE(name, ms) \
   ::vp::obs::Registry::global().histogram(name).record(ms)
+/// Observe into a histogram with a non-default layout (e.g. bytes); the
+/// first observation of `name` fixes its layout.
+#define VP_OBS_OBSERVE_IN(name, buckets, v) \
+  ::vp::obs::Registry::global().histogram(name, buckets).record(v)
 #else
 #define VP_OBS_COUNT(name, n) static_cast<void>(0)
 #define VP_OBS_GAUGE_SET(name, v) static_cast<void>(0)
 #define VP_OBS_OBSERVE(name, ms) static_cast<void>(0)
+#define VP_OBS_OBSERVE_IN(name, buckets, v) static_cast<void>(0)
 #endif

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <barrier>
 #include <filesystem>
 #include <thread>
 
@@ -10,6 +13,7 @@
 #include "core/server.hpp"
 #include "core/session.hpp"
 #include "imaging/codec.hpp"
+#include "obs/metrics.hpp"
 #include "scene/texture.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -1332,6 +1336,307 @@ TEST(MapStore, ConcurrentTracedServingKeepsSlowLogConsistent) {
       [](const auto& a, const auto& b) { return a.total_ms > b.total_ms; }));
   for (const auto& q : worst) EXPECT_GT(q.total_ms, 0.0);
 }
+
+// ---------------------------------------------------------------------------
+// Encoded oracle downloads: one pack per published snapshot, served as-is.
+
+/// What the 'O' reply must be, byte for byte: a fresh pack of the shard.
+Bytes fresh_oracle_pack(const PlaceShard& shard) {
+  return OracleDownload::pack(shard.oracle, shard.epoch, shard.place,
+                              shard.index.pq_ready()
+                                  ? shard.index.pq_codebook().raw()
+                                  : std::span<const std::uint8_t>{})
+      .encode();
+}
+
+Bytes request_oracle(const VisualPrintServer& server,
+                     const std::string& place) {
+  OracleRequest req;
+  req.place = place;
+  ByteWriter w;
+  w.u8(kOracleRequest);
+  w.raw(req.encode());
+  return server.handle_request(w.bytes(), 1);
+}
+
+std::uint64_t oracle_packs() {
+  return obs::Registry::global().counter("store.oracle_packs").value();
+}
+
+/// Pack counts come from the store.oracle_packs counter, which a VP_OBS=OFF
+/// build compiles out; byte-equality checks run either way.
+void expect_packs_since(std::uint64_t before, std::uint64_t expected) {
+#if VP_OBS_ENABLED
+  EXPECT_EQ(oracle_packs() - before, expected);
+#else
+  static_cast<void>(before);
+  static_cast<void>(expected);
+#endif
+}
+
+std::string oracle_reply_db_path(const char* tag) {
+  return (std::filesystem::temp_directory_path() /
+          (std::string("vp_oracle_reply_") + tag + "_" +
+           std::to_string(::getpid()) + ".db"))
+      .string();
+}
+
+TEST(MapStoreOracleReply, ServedBytesEqualFreshPackAcrossPublishes) {
+  const ServerConfig raw_cfg = small_server();
+  const ServerConfig pq_cfg = pq_server();
+  VisualPrintServer server(raw_cfg);
+  Rng rng(81);
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& [place, cfg] :
+         {std::pair{std::string("raw-hall"), &raw_cfg},
+          std::pair{std::string("pq-hall"), &pq_cfg}}) {
+      const std::uint64_t before = oracle_packs();
+      server.ingest_wardrive(place, random_mappings(rng, 40, {0, 0, 0}), cfg);
+      // The publish packed the new snapshot; downloads only copy it out.
+      expect_packs_since(before, 1);
+      const auto shard = server.store().snapshot(place);
+      ASSERT_NE(shard, nullptr);
+      EXPECT_EQ(shard->epoch, static_cast<std::uint32_t>(round + 1));
+      EXPECT_EQ(shard->index.pq_ready(), place == "pq-hall");
+      const Bytes expected = fresh_oracle_pack(*shard);
+      EXPECT_EQ(request_oracle(server, place), expected);
+      EXPECT_EQ(request_oracle(server, place), expected);
+      EXPECT_EQ(server.oracle_snapshot(place).encode(), expected);
+      expect_packs_since(before, 1);
+    }
+  }
+  // A builder copied from a filled snapshot starts with an empty slot.
+  server.store().publish("raw-hall");
+  const auto republished = server.store().snapshot("raw-hall");
+  ASSERT_NE(republished, nullptr);
+  EXPECT_EQ(republished->epoch, 4u);
+  EXPECT_EQ(request_oracle(server, "raw-hall"),
+            fresh_oracle_pack(*republished));
+}
+
+TEST(MapStoreOracleReply, RestoredAndRefaultedShardsServeFreshBytes) {
+  const std::string path = oracle_reply_db_path("restore");
+  const ServerConfig pq_cfg = pq_server();
+  {
+    VisualPrintServer build(small_server());
+    Rng rng(82);
+    build.ingest_wardrive("raw-hall", random_mappings(rng, 40, {0, 0, 0}));
+    build.ingest_wardrive("pq-hall", random_mappings(rng, 40, {1, 0, 0}),
+                          &pq_cfg);
+    build.save(path);
+  }
+
+  // Eager load restores each shard (restore_shard): nothing is packed
+  // until the first download, which packs exactly once.
+  std::uint64_t before = oracle_packs();
+  VisualPrintServer eager = VisualPrintServer::load(path);
+  expect_packs_since(before, 0);
+  for (const std::string place : {"raw-hall", "pq-hall"}) {
+    const auto shard = eager.store().snapshot(place);
+    ASSERT_NE(shard, nullptr);
+    before = oracle_packs();
+    EXPECT_EQ(request_oracle(eager, place), fresh_oracle_pack(*shard));
+    EXPECT_EQ(request_oracle(eager, place), fresh_oracle_pack(*shard));
+    expect_packs_since(before, 1);
+  }
+
+  // Lazy load: the first download faults the shard in and packs it; an
+  // evicted and re-faulted shard is a new snapshot and packs again.
+  DbLoadOptions lazy;
+  lazy.lazy = true;
+  VisualPrintServer server = VisualPrintServer::load(path, lazy);
+  for (const std::string place : {"raw-hall", "pq-hall"}) {
+    before = oracle_packs();
+    const Bytes first = request_oracle(server, place);
+    const auto shard = server.store().snapshot(place);
+    ASSERT_NE(shard, nullptr);
+    EXPECT_EQ(first, fresh_oracle_pack(*shard));
+    expect_packs_since(before, 1);
+
+    server.store().set_resident_budget(1);
+    EXPECT_EQ(server.store().snapshot(place), nullptr);
+    server.store().set_resident_budget(0);
+    before = oracle_packs();
+    const Bytes refaulted = request_oracle(server, place);
+    const auto reloaded = server.store().snapshot(place);
+    ASSERT_NE(reloaded, nullptr);
+    EXPECT_NE(reloaded, shard);
+    EXPECT_EQ(refaulted, fresh_oracle_pack(*reloaded));
+    EXPECT_EQ(refaulted, first);  // same file, same epoch, same bytes
+    expect_packs_since(before, 1);
+  }
+
+  // Writing to a faulted-in place seeds its builder from the snapshot whose
+  // slot is filled; the next publish must still serve its own epoch.
+  const Bytes epoch1 = request_oracle(server, "raw-hall");
+  Rng rng(87);
+  server.ingest_wardrive("raw-hall", random_mappings(rng, 10, {2, 0, 0}));
+  const auto written = server.store().snapshot("raw-hall");
+  ASSERT_NE(written, nullptr);
+  EXPECT_EQ(written->epoch, 2u);
+  EXPECT_EQ(request_oracle(server, "raw-hall"), fresh_oracle_pack(*written));
+  EXPECT_NE(request_oracle(server, "raw-hall"), epoch1);
+  std::filesystem::remove(path);
+}
+
+TEST(MapStoreOracleReply, ConcurrentDownloadsOfLazyShardPackOnce) {
+  const std::string path = oracle_reply_db_path("singleflight");
+  {
+    VisualPrintServer build(small_server());
+    Rng rng(83);
+    build.ingest_wardrive("hall", random_mappings(rng, 200, {0, 0, 0}));
+    build.save(path);
+  }
+  DbLoadOptions lazy;
+  lazy.lazy = true;
+  const VisualPrintServer server = VisualPrintServer::load(path, lazy);
+
+  constexpr int kThreads = 8;
+  const std::uint64_t before = oracle_packs();
+  std::barrier gate(kThreads);
+  std::vector<Bytes> got(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      gate.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = request_oracle(server, "hall");
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  expect_packs_since(before, 1);
+  const auto shard = server.store().snapshot("hall");
+  ASSERT_NE(shard, nullptr);
+  const Bytes expected = fresh_oracle_pack(*shard);
+  for (const Bytes& reply : got) EXPECT_EQ(reply, expected);
+  std::filesystem::remove(path);
+}
+
+TEST(MapStoreOracleReply, QueriesNeverPack) {
+  const std::string path = oracle_reply_db_path("queries");
+  {
+    VisualPrintServer build(small_server());
+    Rng rng(84);
+    build.ingest_wardrive("hall", random_mappings(rng, 40, {0, 0, 0}));
+    build.save(path);
+  }
+  DbLoadOptions lazy;
+  lazy.lazy = true;
+  VisualPrintServer server = VisualPrintServer::load(path, lazy);
+  const std::uint64_t before = oracle_packs();
+  Rng rng(85);
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    FingerprintQuery q;
+    q.place = "hall";
+    q.frame_id = i;
+    q.features.push_back(make_feature(rng));
+    if (i == 10) {
+      // A single ingest is published by the next read's flush — also
+      // without packing.
+      server.store().ingest("hall", make_feature(rng), {0, 0, 0});
+    }
+    ASSERT_FALSE(is_error_frame(server.handle_request(framed_query(q), 1)));
+  }
+  EXPECT_EQ(server.store().epoch("hall"), 2u);
+  expect_packs_since(before, 0);
+  std::filesystem::remove(path);
+}
+
+TEST(MapStoreOracleReply, PublishesRacingFlushesKeepNewestSnapshot) {
+  // Explicit publishes pack with the writer mutex released. Round 0 races
+  // two publishers; round 1 adds single ingests that concurrent reads
+  // flush as newer epochs mid-pack. A returned publish must be visible,
+  // no older snapshot may replace a newer one, and no write may be lost.
+  constexpr int kWriters = 2;
+  constexpr int kPublishes = 4;
+  constexpr int kMappings = 20;
+  constexpr int kSingles = 12;
+  VisualPrintServer server(small_server());
+  Rng rng(88);
+  server.ingest_wardrive("hall", random_mappings(rng, kMappings, {0, 0, 0}));
+  const auto holds_batch = [&](std::uint32_t tag) {
+    const auto shard = server.store().snapshot("hall");
+    return std::any_of(
+        shard->stored.begin(), shard->stored.end(),
+        [&](const StoredKeypoint& k) { return k.source_id == tag; });
+  };
+
+  std::size_t expected = kMappings;
+  std::uint32_t tag = 1000;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::vector<KeypointMapping>> batches;
+    for (int i = 0; i < kWriters * kPublishes; ++i) {
+      batches.push_back(random_mappings(rng, kMappings, {1, 0, 0}));
+      for (auto& m : batches.back()) m.snapshot = tag;
+      ++tag;
+    }
+    std::vector<Feature> singles;
+    if (round == 1) {
+      for (int i = 0; i < kSingles; ++i) singles.push_back(make_feature(rng));
+    }
+    expected += batches.size() * kMappings + singles.size();
+
+    std::atomic<int> running{kWriters + 1};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        for (int p = 0; p < kPublishes; ++p) {
+          const auto& batch =
+              batches[static_cast<std::size_t>(w * kPublishes + p)];
+          server.ingest_wardrive("hall", batch);
+          EXPECT_TRUE(holds_batch(batch.front().snapshot));
+        }
+        --running;
+      });
+    }
+    threads.emplace_back([&] {
+      for (const Feature& f : singles) {
+        server.store().ingest("hall", f, {2, 0, 0});
+        EXPECT_FALSE(is_error_frame(request_oracle(server, "hall")));
+      }
+      --running;
+    });
+    std::uint32_t seen = 0;
+    bool monotonic = true;
+    while (running.load() > 0) {
+      const std::uint32_t epoch = server.store().epoch("hall");
+      monotonic &= epoch >= seen;
+      seen = std::max(seen, epoch);
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_TRUE(monotonic) << "round " << round;
+
+    const auto shard = server.store().snapshot("hall");
+    ASSERT_NE(shard, nullptr);
+    EXPECT_EQ(shard->stored.size(), expected) << "round " << round;
+    EXPECT_EQ(shard->epoch, server.store().builder_shard("hall").epoch);
+    EXPECT_EQ(request_oracle(server, "hall"), fresh_oracle_pack(*shard));
+  }
+}
+
+#if VP_OBS_ENABLED
+TEST(MapStore, QueryBytesHistogramCountsBytes) {
+  VisualPrintServer server(small_server());
+  Rng rng(86);
+  server.ingest_wardrive("hall", random_mappings(rng, 10, {0, 0, 0}));
+  // A raw top-200 frame: ~28.8 KB, past the 26214.4 cap of the ms layout.
+  FingerprintQuery q;
+  q.place = "hall";
+  for (int i = 0; i < 200; ++i) q.features.push_back(make_feature(rng));
+  const Bytes framed = framed_query(q);
+  ASSERT_GT(framed.size(), 26'215u);
+  server.handle_request(framed, 1);
+  const auto snap = obs::Registry::global().snapshot();
+  const auto it =
+      std::find_if(snap.histograms.begin(), snap.histograms.end(),
+                   [](const auto& h) { return h.name == "net.query_bytes"; });
+  ASSERT_NE(it, snap.histograms.end());
+  EXPECT_EQ(it->unit, "bytes");
+  ASSERT_GE(it->count, 1u);
+  EXPECT_EQ(it->counts.back(), 0u);  // nothing in +Inf
+}
+#endif
 
 TEST(Retrieval, PredictsCorrectScene) {
   RetrievalConfig cfg;

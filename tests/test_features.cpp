@@ -101,7 +101,9 @@ TEST(DistanceKernels, SetKernelSwitchesDispatchAndRejectsUncompiled) {
        {DistanceKernel::kSse41, DistanceKernel::kAvx2, DistanceKernel::kNeon}) {
     bool compiled = false;
     for (const auto k : kernels) compiled |= (k == probe);
-    if (!compiled) EXPECT_FALSE(set_distance_kernel(probe));
+    if (!compiled) {
+      EXPECT_FALSE(set_distance_kernel(probe));
+    }
   }
   ASSERT_TRUE(set_distance_kernel(original));
 }
@@ -170,7 +172,9 @@ TEST(HammingKernels, SetKernelSwitchesDispatchAndRejectsUncompiled) {
        {HammingKernel::kPopcnt, HammingKernel::kAvx2, HammingKernel::kNeon}) {
     bool compiled = false;
     for (const auto k : kernels) compiled |= (k == probe);
-    if (!compiled) EXPECT_FALSE(set_hamming_kernel(probe));
+    if (!compiled) {
+      EXPECT_FALSE(set_hamming_kernel(probe));
+    }
   }
   ASSERT_TRUE(set_hamming_kernel(original));
 }
@@ -408,7 +412,9 @@ TEST(AdcKernels, SetKernelSwitchesDispatchAndRejectsUncompiled) {
        {DistanceKernel::kSse41, DistanceKernel::kAvx2, DistanceKernel::kNeon}) {
     bool compiled = false;
     for (const auto k : kernels) compiled |= (k == probe);
-    if (!compiled) EXPECT_FALSE(set_adc_kernel(probe));
+    if (!compiled) {
+      EXPECT_FALSE(set_adc_kernel(probe));
+    }
   }
   ASSERT_TRUE(set_adc_kernel(original));
 }

@@ -333,6 +333,34 @@ TEST(ObsExport, PrometheusGolden) {
             "vp_stage_demo_ms_count 2\n");
 }
 
+TEST(ObsExport, ByteHistogramKeepsQueriesFiniteAndExportsItsUnit) {
+  // The compact and raw top-200 query sizes both land in finite buckets of
+  // the byte layout (the ms layout tops out at 26214.4).
+  obs::LatencyHistogram h(obs::HistogramBuckets::bytes());
+  EXPECT_EQ(h.unit(), "bytes");
+  h.record(4055);
+  h.record(28842);
+  EXPECT_EQ(h.total_count(), 2u);
+  EXPECT_EQ(h.bucket_counts().back(), 0u);
+  EXPECT_GE(h.percentile(90), 28842.0);
+  EXPECT_LT(h.percentile(90), h.upper_bounds().back());
+
+  obs::MetricsSnapshot snap;
+  obs::HistogramSample sample{"net.query_bytes", h.upper_bounds(),
+                              h.bucket_counts(), h.total_count(),
+                              h.total_sum(), h.unit()};
+  snap.histograms.push_back(sample);
+  const std::string json = obs::to_json_lines(snap);
+  EXPECT_NE(json.find("\"sum_bytes\":32897"), std::string::npos);
+  EXPECT_NE(json.find("\"p90_bytes\":"), std::string::npos);
+  EXPECT_EQ(json.find("_ms\""), std::string::npos);
+  const std::string prom = obs::to_prometheus(snap);
+  EXPECT_NE(prom.find("# TYPE vp_net_query_bytes_bytes histogram\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("vp_net_query_bytes_bytes_sum 32897\n"),
+            std::string::npos);
+}
+
 TEST(ObsExport, JsonEscapesQuotesInNames) {
   obs::MetricsSnapshot snap;
   snap.counters.push_back({"we\"ird", 1});

@@ -4,6 +4,9 @@
 // crash), and selection-policy invariants.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "core/client.hpp"
 #include "hashing/bloom.hpp"
 #include "hashing/lsh.hpp"
@@ -109,8 +112,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Oracle ranking quality across aggregates and K.
+// ctest names each case after a byte dump of its parameter, so the seven
+// bytes after the one-byte aggregate are a zeroed field: as padding they
+// held stack garbage and renamed the test on every run.
 struct OracleParams {
   OracleAggregate aggregate;
+  std::array<std::uint8_t, 7> zero{};
   std::size_t hashes;
 };
 
@@ -138,12 +145,13 @@ TEST_P(OracleGridTest, CommonOutranksUnique) {
 
 INSTANTIATE_TEST_SUITE_P(
     Aggregates, OracleGridTest,
-    ::testing::Values(OracleParams{OracleAggregate::kMin, 8},
-                      OracleParams{OracleAggregate::kMedian, 8},
-                      OracleParams{OracleAggregate::kMean, 8},
-                      OracleParams{OracleAggregate::kMax, 8},
-                      OracleParams{OracleAggregate::kMedian, 4},
-                      OracleParams{OracleAggregate::kMedian, 12}));
+    ::testing::Values(
+        OracleParams{.aggregate = OracleAggregate::kMin, .hashes = 8},
+        OracleParams{.aggregate = OracleAggregate::kMedian, .hashes = 8},
+        OracleParams{.aggregate = OracleAggregate::kMean, .hashes = 8},
+        OracleParams{.aggregate = OracleAggregate::kMax, .hashes = 8},
+        OracleParams{.aggregate = OracleAggregate::kMedian, .hashes = 4},
+        OracleParams{.aggregate = OracleAggregate::kMedian, .hashes = 12}));
 
 // ---------------------------------------------------------------------------
 // Serialization fuzz: truncations and random corruptions never crash.
