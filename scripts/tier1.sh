@@ -3,8 +3,9 @@
 # over the threading-sensitive test binaries (test_util, test_obs,
 # test_features, test_net, test_tcp, test_faults, test_load, test_index)
 # plus the MapStore ingest-while-serving soak from test_core, the
-# pool-parallel differential-evolution suite from test_geometry, and the
-# shard-residency fault/evict churn soak from test_residency.
+# pool-parallel differential-evolution suite from test_geometry, the
+# shard-residency fault/evict churn soak from test_residency, and the
+# pool-helped chunked zlib suite from test_imaging.
 #
 # Usage: scripts/tier1.sh [build-dir] [tsan-build-dir]
 # The regular build (tests, benches, examples) fails on any compiler
@@ -23,7 +24,8 @@ ctest --test-dir "$build_dir" --output-on-failure -j
 echo "== tier-1: ThreadSanitizer pass (threaded + network suites) =="
 # Benchmarks/examples are irrelevant to the TSan pass; skip them for speed.
 tsan_targets=(test_util test_obs test_features test_net test_tcp test_faults
-              test_load test_index test_core test_geometry test_residency)
+              test_load test_index test_core test_geometry test_residency
+              test_imaging)
 cmake -B "$tsan_dir" -S "$repo_root" \
   -DVP_SANITIZE=thread \
   -DVP_BUILD_BENCHMARKS=OFF \
@@ -45,6 +47,10 @@ for t in "${tsan_targets[@]}"; do
     # fuzz tests are single-threaded and slow under TSan.
     "$tsan_dir/tests/$t" \
       --gtest_filter='Residency.SingleFlight*:Residency.Concurrent*:Residency.QueryRacing*'
+  elif [ "$t" = test_imaging ]; then
+    # Only the chunked zlib suite: its chunks run on pool helpers beside
+    # the caller, including helpers that start after the call returned.
+    "$tsan_dir/tests/$t" --gtest_filter='Zlib*'
   else
     "$tsan_dir/tests/$t"
   fi

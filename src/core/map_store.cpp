@@ -128,16 +128,19 @@ std::vector<std::uint32_t> PlaceShard::scene_votes(
   return votes;
 }
 
-const Bytes& PlaceShard::oracle_reply() const {
+const Bytes& PlaceShard::oracle_reply(ThreadPool* pool) const {
   OracleReplySlot& slot = oracle_reply_slot;
   std::call_once(slot.packed, [&] {
+    Timer timer;
     // A PQ-ready shard ships its codebook with the oracle, so the client
     // can encode compact (v4) query fingerprints against this exact epoch.
     slot.bytes = OracleDownload::pack(oracle, epoch, place,
                                       index.pq_ready()
                                           ? index.pq_codebook().raw()
-                                          : std::span<const std::uint8_t>{})
+                                          : std::span<const std::uint8_t>{},
+                                      pool)
                      .encode();
+    VP_OBS_OBSERVE("store.oracle_pack", timer.millis());
     VP_OBS_COUNT("store.oracle_packs", 1);
     VP_OBS_GAUGE_SET("store.bytes.oracle_reply." + place,
                      static_cast<double>(slot.bytes.size()));
@@ -217,8 +220,10 @@ void MapStore::ingest_wardrive(const std::string& place,
   std::lock_guard publishing(publish_mutex_);
   std::shared_ptr<const PlaceShard> published;
   std::shared_ptr<const PlaceShard> current;  // held: no address reuse
+  ThreadPool* pool = nullptr;
   {
     std::lock_guard lock(write_mutex_);
+    pool = default_config_.pool;
     Builder& b = builder_locked(place, config);
     for (const auto& m : mappings) {
       ingest_into(*b.shard, m.feature, m.world_position, -1, m.snapshot);
@@ -232,7 +237,9 @@ void MapStore::ingest_wardrive(const std::string& place,
   // epoch: otherwise every client refetching after this publish would
   // race to pay the zlib pass inside one of its own fixes. Only
   // publish_mutex_ is held, so faults, flushes and single ingests proceed.
-  published->oracle_reply();
+  // The store pool's idle workers help with the zlib chunks; busy ones
+  // (e.g. held by open connections) are not waited for.
+  published->oracle_reply(pool);
   std::lock_guard lock(write_mutex_);
   const auto map = state();
   const auto it = map->find(place);
@@ -268,7 +275,7 @@ void MapStore::install_locked(
     const std::shared_ptr<const PlaceShard>& published) {
   auto next = std::make_shared<ShardMap>(*state());
   (*next)[place] = published;
-  const std::size_t shards = next->size();
+  [[maybe_unused]] const std::size_t shards = next->size();
   set_state(std::move(next));
   swap_count_.fetch_add(1, std::memory_order_relaxed);
   VP_OBS_COUNT("store.swaps", 1);
@@ -295,7 +302,7 @@ void MapStore::restore_shard(std::unique_ptr<PlaceShard> shard) {
   builders_[place] = Builder{std::move(shard), false};
   auto next = std::make_shared<ShardMap>(*state());
   (*next)[place] = std::move(published);
-  const std::size_t shards = next->size();
+  [[maybe_unused]] const std::size_t shards = next->size();
   set_state(std::move(next));
   swap_count_.fetch_add(1, std::memory_order_relaxed);
   VP_OBS_GAUGE_SET("store.shards", static_cast<double>(shards));
@@ -387,7 +394,7 @@ std::shared_ptr<const PlaceShard> MapStore::install_loaded(
   (*next)[place] = published;
   const auto victims = self->residency_->finish_load(place, bytes);
   for (const auto& victim : victims) next->erase(victim);
-  const std::size_t shards = next->size();
+  [[maybe_unused]] const std::size_t shards = next->size();
   self->set_state(std::move(next));
   // Wake single-flight waiters only now that the map store is visible:
   // they re-read the map on wakeup and must find the shard there.
@@ -562,7 +569,9 @@ std::shared_ptr<const Bytes> MapStore::oracle_reply(
   // A client download is a first-class read: fault the shard in if cold.
   auto shard = fault_in(id);
   VP_REQUIRE(shard != nullptr, "oracle snapshot of unknown place: " + id);
-  const Bytes& bytes = shard->oracle_reply();
+  // A first download of a restored or faulted-in shard packs here. On a
+  // serve worker of the store pool (the TCP path) that runs inline.
+  const Bytes& bytes = shard->oracle_reply(default_config_.pool);
   return {std::move(shard), &bytes};
 }
 

@@ -119,8 +119,9 @@ struct PlaceShard {
   /// codebook present when the index is PQ-ready. Packed once, single-
   /// flight, on first call (concurrent callers wait for that one pack);
   /// later calls return the same bytes. Call only on published snapshots:
-  /// a builder keeps changing under its slot.
-  const Bytes& oracle_reply() const;
+  /// a builder keeps changing under its slot. `pool` lends the pack's zlib
+  /// pass helper threads (see zlib_compress); the bytes do not depend on it.
+  const Bytes& oracle_reply(ThreadPool* pool = nullptr) const;
 
   /// Storage behind oracle_reply(). A copied shard starts with an empty
   /// slot: every copy is a new snapshot or a mutable builder, so encoded

@@ -25,7 +25,7 @@ RemoteLocalizer::RemoteLocalizer(Transport transport)
 
 std::uint16_t RemoteLocalizer::exchange(std::span<const std::uint8_t> request,
                                         Bytes& reply, std::string& message,
-                                        const char* kind) {
+                                        [[maybe_unused]] const char* kind) {
   VP_OBS_COUNT(std::string("net.bytes.up.") + kind, request.size());
   try {
     reply = transport_(request);

@@ -1,12 +1,22 @@
 #include "imaging/codec.hpp"
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <condition_variable>
 #include <csetjmp>
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <memory>
+#include <mutex>
+#include <vector>
 
 #include <jpeglib.h>
 #include <png.h>
 #include <zlib.h>
+
+#include "util/thread_pool.hpp"
 
 namespace vp {
 namespace {
@@ -194,14 +204,157 @@ ImageU8 png_decode(std::span<const std::uint8_t> data) {
   return img;
 }
 
-Bytes zlib_compress(std::span<const std::uint8_t> data, int level) {
+namespace {
+
+/// Input bytes per independently deflated piece of a zlib_compress stream.
+/// A constant, not an option: the stream's bytes depend on it.
+constexpr std::size_t kDeflateChunk = std::size_t{1} << 20;
+/// Preset dictionary of every chunk after the first: deflate's window.
+constexpr std::size_t kDeflateWindow = std::size_t{32} << 10;
+
+/// Input of chunk `i`.
+std::span<const std::uint8_t> chunk_of(std::span<const std::uint8_t> data,
+                                       std::size_t i) {
+  const std::size_t lo = i * kDeflateChunk;
+  return data.subspan(lo, std::min(kDeflateChunk, data.size() - lo));
+}
+
+/// Deflate chunk `i` of `data`: chunk 0 zlib-wrapped, later chunks raw and
+/// primed with the preceding window of input; the last chunk finishes the
+/// deflate stream, every other one ends on a byte-aligned sync flush.
+Bytes deflate_chunk(std::span<const std::uint8_t> data, std::size_t i,
+                    int level) {
+  const std::size_t lo = i * kDeflateChunk;
+  const std::span<const std::uint8_t> in = chunk_of(data, i);
+  const bool last = lo + in.size() == data.size();
+  z_stream zs{};
+  // windowBits 15 / memLevel 8 / default strategy: compress2()'s settings.
+  if (deflateInit2(&zs, level, Z_DEFLATED, i == 0 ? 15 : -15, 8,
+                   Z_DEFAULT_STRATEGY) != Z_OK) {
+    throw IoError{"zlib deflateInit failed"};
+  }
+  const std::unique_ptr<z_stream, int (*)(z_streamp)> end(&zs, deflateEnd);
+  if (i != 0) {
+    const std::size_t dict = std::min(lo, kDeflateWindow);
+    if (deflateSetDictionary(&zs, data.data() + lo - dict,
+                             static_cast<uInt>(dict)) != Z_OK) {
+      throw IoError{"zlib deflateSetDictionary failed"};
+    }
+  }
+  zs.next_in = const_cast<Bytef*>(in.data());
+  zs.avail_in = static_cast<uInt>(in.size());
+
+  // Output streams through a small fixed buffer: a deflateBound-sized one
+  // would reserve over a megabyte per running chunk, mostly never written.
+  Bytes out;
+  std::array<std::uint8_t, 16 * 1024> buf{};
+  const auto step = [&](int flush) {
+    zs.next_out = buf.data();
+    zs.avail_out = static_cast<uInt>(buf.size());
+    const int rc = deflate(&zs, flush);
+    if (rc == Z_STREAM_ERROR) throw IoError{"zlib deflate failed"};
+    out.insert(out.end(), buf.data(),
+               buf.data() + (buf.size() - zs.avail_out));
+    return rc;
+  };
+  if (last) {
+    while (step(Z_FINISH) != Z_STREAM_END) {
+    }
+    return out;
+  }
+  // Z_BLOCK drains all input and closes the open block; then the sync
+  // flush adds only its empty stored block (a few bytes). Calling
+  // Z_SYNC_FLUSH directly could, when a return fills the buffer exactly,
+  // emit a second empty block on the follow-up call.
+  do {
+    step(Z_BLOCK);
+  } while (zs.avail_out == 0);
+  step(Z_SYNC_FLUSH);
+  VP_ASSERT(zs.avail_in == 0 && zs.avail_out != 0);
+  return out;
+}
+
+/// One multi-chunk compression, shared by the calling thread and its pool
+/// helpers. Held by shared_ptr: a helper that starts after the call
+/// returned still finds valid state, claims no chunk, and exits.
+struct DeflateJob {
+  DeflateJob(std::span<const std::uint8_t> d, int l, std::size_t n)
+      : data(d), level(l), chunks(n), out(n), adler(n) {}
+
+  /// Compress chunks until none is left to claim.
+  void drain() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= chunks) return;
+      std::exception_ptr failure;
+      try {
+        out[i] = deflate_chunk(data, i, level);
+        const auto in = chunk_of(data, i);
+        adler[i] = ::adler32(1L, in.data(), static_cast<uInt>(in.size()));
+      } catch (...) {
+        failure = std::current_exception();
+      }
+      std::lock_guard lock(mutex);
+      if (failure && !error) error = failure;
+      if (++done == chunks) all_done.notify_all();
+    }
+  }
+
+  const std::span<const std::uint8_t> data;  ///< valid while chunks run
+  const int level;
+  const std::size_t chunks;
+  std::atomic<std::size_t> next{0};  ///< next unclaimed chunk
+  std::vector<Bytes> out;            ///< per chunk; read after all done
+  std::vector<uLong> adler;          ///< adler32 of each chunk's input
+  std::mutex mutex;
+  std::condition_variable all_done;
+  std::size_t done = 0;       ///< finished chunks, under mutex
+  std::exception_ptr error;   ///< first failure, under mutex
+};
+
+}  // namespace
+
+Bytes zlib_compress(std::span<const std::uint8_t> data, int level,
+                    ThreadPool* pool) {
   VP_REQUIRE(level >= 1 && level <= 9, "zlib level in [1,9]");
-  uLongf bound = compressBound(static_cast<uLong>(data.size()));
-  Bytes out(bound);
-  const int rc = compress2(out.data(), &bound, data.data(),
-                           static_cast<uLong>(data.size()), level);
-  if (rc != Z_OK) throw IoError{"zlib compress failed"};
-  out.resize(bound);
+  const std::size_t chunks =
+      std::max<std::size_t>(1, (data.size() + kDeflateChunk - 1) /
+                                   kDeflateChunk);
+  if (chunks == 1) return deflate_chunk(data, 0, level);
+
+  const auto job = std::make_shared<DeflateJob>(data, level, chunks);
+  // Not parallel_for: that waits for every block it queues, and a worker
+  // can be held for a long time (TcpListener::serve keeps one per open
+  // connection). Here the caller takes part and waits only for chunks a
+  // helper has claimed, so queued helpers that never run delay nothing.
+  if (pool != nullptr && !pool->on_worker_thread()) {
+    const std::size_t helpers = std::min(pool->thread_count(), chunks - 1);
+    for (std::size_t h = 0; h < helpers; ++h) {
+      pool->submit([job] { job->drain(); });
+    }
+  }
+  job->drain();
+  {
+    std::unique_lock lock(job->mutex);
+    job->all_done.wait(lock, [&] { return job->done == chunks; });
+    if (job->error) std::rethrow_exception(job->error);
+  }
+
+  std::size_t total = 4;  // + the adler32 trailer
+  for (const Bytes& piece : job->out) total += piece.size();
+  Bytes out;
+  out.reserve(total);
+  uLong adler = job->adler[0];
+  for (std::size_t i = 0; i < chunks; ++i) {
+    out.insert(out.end(), job->out[i].begin(), job->out[i].end());
+    if (i != 0) {
+      adler = adler32_combine(adler, job->adler[i],
+                              static_cast<z_off_t>(chunk_of(data, i).size()));
+    }
+  }
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    out.push_back(static_cast<std::uint8_t>(adler >> shift));
+  }
   return out;
 }
 

@@ -291,11 +291,12 @@ LocationResponse LocationResponse::decode(std::span<const std::uint8_t> data) {
 
 OracleDownload OracleDownload::pack(const UniquenessOracle& oracle,
                                     std::uint32_t epoch, std::string place,
-                                    std::span<const std::uint8_t> codebook) {
+                                    std::span<const std::uint8_t> codebook,
+                                    ThreadPool* pool) {
   OracleDownload d;
   d.epoch = epoch;
   d.place = std::move(place);
-  d.compressed = zlib_compress(oracle.serialize(), 9);
+  d.compressed = zlib_compress(oracle.serialize(), 9, pool);
   d.codebook.assign(codebook.begin(), codebook.end());
   return d;
 }

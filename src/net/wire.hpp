@@ -19,6 +19,8 @@
 
 namespace vp {
 
+class ThreadPool;
+
 /// One compact (v4) query feature on the wire: quantized pixel position
 /// (2 x u16, quarter-pixel fixed point) plus the 16-byte PQ code — 20
 /// bytes instead of the 144-byte raw feature (7.2x). Scale and
@@ -138,7 +140,9 @@ struct LocationResponse {
 struct OracleDownload {
   std::uint32_t epoch = 0;  ///< shard publish epoch at pack time
   std::string place;        ///< owning shard ("" = pre-shard snapshot)
-  Bytes compressed;  ///< zlib stream of UniquenessOracle::serialize()
+  /// zlib stream of UniquenessOracle::serialize(): one standard stream with
+  /// a sync-flush point every 1 MiB of input (see zlib_compress).
+  Bytes compressed;
   /// The place's PQ codebook (exactly kPqCodebookBytes), present when the
   /// shard serves product-quantized storage — the client encodes compact
   /// (v4) query fingerprints against it. Empty when the shard is exact-
@@ -146,9 +150,12 @@ struct OracleDownload {
   /// server, so old clients and codebook-less servers interoperate.
   Bytes codebook;
 
+  /// `pool` only speeds up the zlib pass; the bytes are the same with or
+  /// without it.
   static OracleDownload pack(const UniquenessOracle& oracle,
                              std::uint32_t epoch, std::string place = {},
-                             std::span<const std::uint8_t> codebook = {});
+                             std::span<const std::uint8_t> codebook = {},
+                             ThreadPool* pool = nullptr);
   UniquenessOracle unpack() const;
 
   Bytes encode() const;

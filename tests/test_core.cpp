@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <barrier>
 #include <filesystem>
+#include <latch>
 #include <thread>
 
 #include "core/client.hpp"
@@ -1615,7 +1616,53 @@ TEST(MapStoreOracleReply, PublishesRacingFlushesKeepNewestSnapshot) {
   }
 }
 
+TEST(MapStoreOracleReply, PublishReturnsWhileEveryPoolWorkerIsHeld) {
+  // The publish's pack hands zlib chunks to the store pool but must not
+  // wait for a worker: TcpListener::serve holds one per open connection.
+  ThreadPool pool(2);
+  MapStore store(pq_server());
+  std::latch parked(2);
+  std::latch release(1);
+  std::vector<std::future<void>> held;
+  for (int i = 0; i < 2; ++i) {
+    held.push_back(pool.submit([&] {
+      parked.count_down();
+      release.wait();
+    }));
+  }
+  parked.wait();
+  store.set_pool(&pool);
+  Rng rng(89);
+  store.ingest_wardrive("hall", random_mappings(rng, 40, {0, 0, 0}));
+  const auto shard = store.snapshot("hall");
+  ASSERT_NE(shard, nullptr);
+  // More than one 1 MiB zlib chunk, so the pool had work to offer.
+  EXPECT_GT(shard->oracle.serialize().size(), std::size_t{2} << 20);
+  EXPECT_EQ(*store.oracle_reply("hall"), fresh_oracle_pack(*shard));
+  release.count_down();
+  for (auto& f : held) f.get();
+}
+
 #if VP_OBS_ENABLED
+TEST(MapStoreOracleReply, EachPackRecordsItsTime) {
+  const auto pack_samples = [] {
+    const auto snap = obs::Registry::global().snapshot();
+    for (const auto& h : snap.histograms) {
+      if (h.name == "store.oracle_pack") return h.count;
+    }
+    return std::uint64_t{0};
+  };
+  VisualPrintServer server(small_server());
+  Rng rng(90);
+  const std::uint64_t packs = oracle_packs();
+  const std::uint64_t samples = pack_samples();
+  server.ingest_wardrive("hall", random_mappings(rng, 10, {0, 0, 0}));
+  request_oracle(server, "hall");
+  request_oracle(server, "hall");
+  EXPECT_EQ(oracle_packs() - packs, 1u);
+  EXPECT_EQ(pack_samples() - samples, 1u);
+}
+
 TEST(MapStore, QueryBytesHistogramCountsBytes) {
   VisualPrintServer server(small_server());
   Rng rng(86);

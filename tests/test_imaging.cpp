@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <zlib.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <latch>
+#include <set>
 
 #include "imaging/codec.hpp"
 #include "imaging/filters.hpp"
@@ -246,6 +250,136 @@ TEST(Codec, ZlibDetectsCorruption) {
 TEST(Codec, ZlibEmptyInput) {
   const Bytes empty;
   EXPECT_EQ(zlib_decompress(zlib_compress(empty)), empty);
+}
+
+// ---------------------------------------------------------------------------
+// Chunked zlib: one standard stream whose bytes depend only on the input.
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+
+/// zlib's one-shot encoder: the reference for single-chunk inputs.
+Bytes compress2_of(std::span<const std::uint8_t> data, int level) {
+  uLongf size = compressBound(static_cast<uLong>(data.size()));
+  Bytes out(size);
+  EXPECT_EQ(compress2(out.data(), &size, data.data(),
+                      static_cast<uLong>(data.size()), level),
+            Z_OK);
+  out.resize(size);
+  return out;
+}
+
+/// ~2% nonzero bytes, like a serialized uniqueness oracle's counter tables.
+Bytes sparse_blob(std::size_t size, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes out(size, 0);
+  for (auto& b : out) {
+    if (rng.uniform() < 0.02) {
+      b = static_cast<std::uint8_t>(1 + rng.uniform_u64(255));
+    }
+  }
+  return out;
+}
+
+/// A 7-chunk blob (6 MiB plus a partial tail) and its pool-less level-9
+/// stream, built once for the suite.
+struct LargeBlob {
+  Bytes data;
+  Bytes z;
+};
+const LargeBlob& large_blob() {
+  static const LargeBlob blob = [] {
+    LargeBlob b;
+    b.data = sparse_blob(6 * kMiB + 12'345, 20);
+    b.z = zlib_compress(b.data, 9);
+    return b;
+  }();
+  return blob;
+}
+
+TEST(Zlib, UpToOneChunkMatchesCompress2) {
+  const Bytes noise = [] {
+    Rng rng(21);
+    Bytes out(kMiB);
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng.uniform_u64(256));
+    return out;
+  }();
+  const Bytes sparse = sparse_blob(kMiB, 22);
+  for (const std::size_t size :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4096}, kMiB - 1, kMiB}) {
+    for (const Bytes* src : {&noise, &sparse}) {
+      const std::span<const std::uint8_t> data(src->data(), size);
+      for (const int level : {6, 9}) {
+        EXPECT_EQ(zlib_compress(data, level), compress2_of(data, level))
+            << "size " << size << " level " << level;
+      }
+    }
+  }
+}
+
+TEST(Zlib, SameBytesForAnyPoolAndFromAWorker) {
+  const LargeBlob& blob = large_blob();
+  for (const std::size_t threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(zlib_compress(blob.data, 9, &pool), blob.z)
+        << threads << " threads";
+  }
+  // On one of the pool's own workers the call runs inline.
+  ThreadPool pool(2);
+  Bytes from_worker;
+  pool.submit([&] { from_worker = zlib_compress(blob.data, 9, &pool); }).get();
+  EXPECT_EQ(from_worker, blob.z);
+}
+
+TEST(Zlib, MultiChunkStreamRoundTripsAndStaysCompact) {
+  const LargeBlob& blob = large_blob();
+  EXPECT_EQ(zlib_decompress(blob.z), blob.data);
+  const Bytes one_shot = compress2_of(blob.data, 9);
+  EXPECT_NE(blob.z, one_shot);  // really chunked
+  EXPECT_LE(static_cast<double>(blob.z.size()),
+            1.005 * static_cast<double>(one_shot.size()));
+}
+
+TEST(Zlib, ReturnsWhileEveryPoolWorkerIsHeld) {
+  const LargeBlob& blob = large_blob();
+  ThreadPool pool(2);
+  std::latch parked(2);
+  std::latch release(1);
+  std::vector<std::future<void>> held;
+  for (int i = 0; i < 2; ++i) {
+    held.push_back(pool.submit([&] {
+      parked.count_down();
+      release.wait();
+    }));
+  }
+  parked.wait();
+  // Helpers queue behind the held workers; the caller does every chunk.
+  EXPECT_EQ(zlib_compress(blob.data, 9, &pool), blob.z);
+  release.count_down();
+  for (auto& f : held) f.get();
+  // The queued helpers now run after the call returned, find no chunk
+  // left, and exit (the pool's destructor drains them).
+}
+
+TEST(Zlib, TruncatedMultiChunkStreamThrows) {
+  const Bytes& z = large_blob().z;
+  // Each sync flush ends in the empty stored block 00 00 FF FF, so the
+  // chunk boundaries are among the offsets right after that pattern.
+  std::set<std::size_t> cuts;
+  std::size_t boundaries = 0;
+  for (std::size_t i = 0; i + 4 <= z.size(); ++i) {
+    if (z[i] == 0 && z[i + 1] == 0 && z[i + 2] == 0xFF && z[i + 3] == 0xFF) {
+      ++boundaries;
+      cuts.insert({i + 3, i + 4, i + 5});
+    }
+  }
+  EXPECT_GE(boundaries, 6u);  // 7 chunks
+  Rng rng(23);
+  for (int i = 0; i < 64; ++i) cuts.insert(rng.uniform_u64(z.size()));
+  cuts.insert(z.size() - 1);
+  for (const std::size_t cut : cuts) {
+    EXPECT_THROW(zlib_decompress(std::span(z).first(cut)), DecodeError)
+        << "cut at " << cut << " of " << z.size();
+  }
 }
 
 TEST(Pnm, RoundtripGrayAndRgb) {
