@@ -31,15 +31,16 @@ double median_of(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-RunStats run_config(const vp::ImageF& frame, const vp::Bytes& oracle_blob,
-                    vp::ThreadPool* pool, int iters) {
+RunStats run_config(const vp::ImageF& frame,
+                    const vp::Bytes& serialized_oracle, vp::ThreadPool* pool,
+                    int iters) {
   using namespace vp;
   ClientConfig cc;
   cc.top_k = 200;
   cc.blur_threshold = 0.5;
   cc.sift.pool = pool;
   VisualPrintClient client(cc);
-  client.install_oracle(UniquenessOracle::deserialize(oracle_blob));
+  client.install_oracle(UniquenessOracle::deserialize(serialized_oracle));
 
   RunStats stats;
   std::vector<double> frame_ms, sift_ms, scoring_ms;
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
       oracle.insert(feat.descriptor);
     }
   }
-  const Bytes oracle_blob = oracle.serialize();
+  const Bytes serialized_oracle = oracle.serialize();
 
   const int iters = std::max(3, static_cast<int>(std::lround(5 * scale)));
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
     // cache-friendly blur/scan rewrite on its own.
     std::unique_ptr<ThreadPool> pool;
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    const RunStats s = run_config(frame, oracle_blob, pool.get(), iters);
+    const RunStats s = run_config(frame, serialized_oracle, pool.get(), iters);
     if (threads == 1) baseline_ms = s.median_frame_ms;
     const double speedup =
         s.median_frame_ms > 0 ? baseline_ms / s.median_frame_ms : 0.0;

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
     for (const auto& f : img.features) oracle.insert(f.descriptor);
   }
 
-  const Bytes oracle_blob = oracle.serialize();
-  const Bytes oracle_disk = zlib_compress(oracle_blob, 9);
+  const Bytes serialized_oracle = oracle.serialize();
+  const Bytes oracle_disk = zlib_compress(serialized_oracle, 9);
   const std::size_t raw_db_bytes = database.brute_force_byte_size();
   // The paper benchmarks the reference E2LSH implementation, which
   // replicates vectors into every table; report both it and our compact

@@ -3,8 +3,8 @@
 //
 // Three serving modes over the same synthetic place and query stream:
 //
-//   raw        v2/v3 frames: 144 bytes per feature (keypoint + descriptor)
-//   compact    v4 frames: 20 bytes per feature (quarter-pixel coords +
+//   raw        raw frames: 144 bytes per feature (keypoint + descriptor)
+//   compact    compact frames: 20 bytes per feature (quarter-pixel coords +
 //              16-byte PQ code); the server reconstructs from centroids
 //              and runs the ordinary exact pipeline
 //   compact+symmetric  same wire bytes; the coarse ADC stage gathers the

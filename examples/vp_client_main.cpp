@@ -10,7 +10,7 @@
 // server that republished its map mid-session (kStaleOracle) costs one
 // transparent oracle refresh — never a crash.
 //
-// With --compact-uplink, queries to a PQ-serving place go out as v4
+// With --compact-uplink, queries to a PQ-serving place go out as
 // compact frames: 16-byte PQ codes (encoded against the codebook that
 // rode the oracle download) plus quantized keypoint coordinates — 20
 // bytes per feature on the wire instead of 144. The exit summary prints
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   std::string place;  // "" = the server's default place
   std::string trace_out;    // Chrome-trace JSON of the stitched traces
   std::string metrics_out;  // write the stats scrape here too
-  bool compact_uplink = false;  // v4 PQ-coded query fingerprints
+  bool compact_uplink = false;  // PQ-coded query fingerprints
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
       port = static_cast<std::uint16_t>(std::atoi(argv[++i]));

@@ -38,7 +38,7 @@
 // bytes with LRU eviction, so a server carrying thousands of places runs
 // in a bounded memory envelope.
 //
-// `--symmetric` serves compact (v4, PQ-coded) queries through the
+// `--symmetric` serves compact (PQ-coded) queries through the
 // symmetric-ADC coarse stage: the per-query lookup table is gathered from
 // the codebook's precomputed centroid-distance matrix instead of being
 // rebuilt from the reconstructed descriptor. Bit-identical answers —

@@ -19,7 +19,7 @@ tsan_dir="${2:-$repo_root/build-tsan}"
 echo "== tier-1: regular build + full test suite =="
 cmake -B "$build_dir" -S "$repo_root" -DVP_WARNINGS_AS_ERRORS=ON
 cmake --build "$build_dir" -j
-ctest --test-dir "$build_dir" --output-on-failure -j
+ctest --test-dir "$build_dir" --output-on-failure -j"$(nproc)"
 
 echo "== tier-1: ThreadSanitizer pass (threaded + network suites) =="
 # Benchmarks/examples are irrelevant to the TSan pass; skip them for speed.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "imaging/codec.hpp"
 #include "imaging/filters.hpp"
 #include "index/brute_force.hpp"  // random_subselect
 #include "obs/trace.hpp"
@@ -17,19 +16,15 @@ VisualPrintClient::VisualPrintClient(ClientConfig config, std::uint64_t seed)
 }
 
 void VisualPrintClient::install_oracle(const OracleDownload& download) {
-  oracle_blob_ = zlib_decompress(download.compressed);
-  oracle_ = std::make_shared<UniquenessOracle>(
-      UniquenessOracle::deserialize(oracle_blob_));
+  oracle_ = std::make_shared<UniquenessOracle>(download.unpack());
   place_ = download.place;
   oracle_epoch_ = download.epoch;
   codebook_blob_ = download.codebook;
-  oracle_cache_[place_] = {oracle_epoch_, oracle_, oracle_blob_,
-                           codebook_blob_};
+  oracle_cache_[place_] = {oracle_epoch_, oracle_, codebook_blob_};
 }
 
 void VisualPrintClient::install_oracle(UniquenessOracle oracle) {
   oracle_ = std::make_shared<UniquenessOracle>(std::move(oracle));
-  oracle_blob_ = oracle_->serialize();
   place_.clear();
   oracle_epoch_ = 0;
   codebook_blob_.clear();
@@ -39,26 +34,10 @@ bool VisualPrintClient::select_place(const std::string& place) {
   const auto it = oracle_cache_.find(place);
   if (it == oracle_cache_.end()) return false;
   oracle_ = it->second.oracle;
-  oracle_blob_ = it->second.blob;
   place_ = place;
   oracle_epoch_ = it->second.epoch;
   codebook_blob_ = it->second.codebook;
   return true;
-}
-
-void VisualPrintClient::apply_oracle_diff(const OracleDiff& diff) {
-  VP_REQUIRE(oracle_ != nullptr, "no oracle installed to diff against");
-  Bytes updated = diff.apply(oracle_blob_);
-  oracle_ = std::make_shared<UniquenessOracle>(
-      UniquenessOracle::deserialize(updated));
-  oracle_blob_ = std::move(updated);
-  // Diffs carry fine-grained oracle versions, not publish epochs; the
-  // refreshed oracle's epoch is unknown, so stop stamping one.
-  oracle_epoch_ = 0;
-  const auto it = oracle_cache_.find(place_);
-  if (it != oracle_cache_.end()) {
-    it->second = {oracle_epoch_, oracle_, oracle_blob_, codebook_blob_};
-  }
 }
 
 std::vector<Feature> VisualPrintClient::select_features(

@@ -91,15 +91,6 @@ class VisualPrintClient {
   const std::string& oracle_place() const noexcept { return place_; }
   std::uint32_t oracle_epoch() const noexcept { return oracle_epoch_; }
 
-  /// Incremental refresh: apply an XOR diff against the currently
-  /// installed snapshot (paper: "periodically refreshes its copy of the
-  /// Bloom filter"; the diff transfer is the paper's suggested-but-
-  /// unimplemented optimization). Requires a previously installed oracle.
-  void apply_oracle_diff(const OracleDiff& diff);
-
-  /// Serialized form of the installed oracle (the diff base).
-  const Bytes& oracle_blob() const noexcept { return oracle_blob_; }
-
   /// The active place's PQ codebook payload as downloaded with its oracle
   /// (empty when the place is not PQ-indexed). Cached per place alongside
   /// the oracle, so select_place() restores it. Compact-uplink callers
@@ -128,13 +119,11 @@ class VisualPrintClient {
   struct CachedOracle {
     std::uint32_t epoch = 0;
     std::shared_ptr<UniquenessOracle> oracle;
-    Bytes blob;
     Bytes codebook;
   };
 
   ClientConfig config_;
   std::shared_ptr<UniquenessOracle> oracle_;  ///< active oracle
-  Bytes oracle_blob_;  ///< serialized snapshot, kept as the diff base
   Bytes codebook_blob_;  ///< active place's PQ codebook ("" when absent)
   std::string place_;               ///< active place ("" = fan out)
   std::uint32_t oracle_epoch_ = 0;  ///< active epoch (0 = unchecked)

@@ -133,7 +133,7 @@ const Bytes& PlaceShard::oracle_reply(ThreadPool* pool) const {
   std::call_once(slot.packed, [&] {
     Timer timer;
     // A PQ-ready shard ships its codebook with the oracle, so the client
-    // can encode compact (v4) query fingerprints against this exact epoch.
+    // can encode compact query fingerprints against this exact epoch.
     slot.bytes = OracleDownload::pack(oracle, epoch, place,
                                       index.pq_ready()
                                           ? index.pq_codebook().raw()

@@ -59,7 +59,7 @@ struct ServerConfig {
   /// points across the whole building into one meaningless mega-cluster.
   ClusteringConfig clustering{.radius = 1.5, .min_points = 4};
   LocalizeConfig localize{};     ///< Fig. 12 solver parameters
-  /// Compact (v4) queries: rank through the symmetric ADC fast path —
+  /// Compact queries: rank through the symmetric ADC fast path —
   /// gather each query code's precomputed table rows instead of rebuilding
   /// the table from the reconstructed descriptor. Bit-identical results
   /// either way (see PqCodebook::build_symmetric_adc_table), so this is a

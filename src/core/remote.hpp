@@ -59,7 +59,7 @@ class RemoteLocalizer {
 
   /// Opt in to the compact uplink: when the query names a place whose
   /// downloaded oracle carried a PQ codebook, localize() encodes each
-  /// feature's descriptor into its 16-byte code and sends the v4 compact
+  /// feature's descriptor into its 16-byte code and sends the compact
   /// frame (20 bytes/feature on the wire instead of 144). Fan-out queries
   /// (empty place) and places without a cached codebook stay raw — the
   /// codes would be meaningless against another place's centroids. A
@@ -67,7 +67,7 @@ class RemoteLocalizer {
   /// the resend, so epoch churn stays invisible to callers.
   void enable_compact_uplink(bool on = true) { compact_uplink_ = on; }
 
-  /// Queries that actually went out compact (v4) so far.
+  /// Queries that actually went out compact so far.
   std::uint64_t compact_queries() const noexcept { return compact_queries_; }
 
   /// True when `place`'s last downloaded oracle carried a codebook.

@@ -40,10 +40,10 @@ struct PlaceShard;
 class ShardResidencyManager {
  public:
   /// Parses one registered shard out of its database file. Captures the
-  /// MappedFile shared_ptr and the parsed v4 record (or the v1-v3 blob
-  /// span), so it stays valid independent of the store. Must be
-  /// thread-compatible: at most one invocation per place at a time (the
-  /// single-flight guarantee), arbitrary places concurrently.
+  /// MappedFile shared_ptr and the parsed v4 record, so it stays valid
+  /// independent of the store. Must be thread-compatible: at most one
+  /// invocation per place at a time (the single-flight guarantee),
+  /// arbitrary places concurrently.
   using Loader = std::function<std::unique_ptr<PlaceShard>()>;
 
   enum class State : std::uint8_t { kCold, kLoading, kResident, kPinned };

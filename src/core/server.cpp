@@ -222,7 +222,7 @@ Bytes VisualPrintServer::handle_query(std::span<const std::uint8_t> body,
     LocationResponse resp = store_->localize(query, solver_rng);
     resp.trace_id = query.trace_id;
     if (query.trace_id != 0 && (query.trace_flags & obs::kTraceSampled)) {
-      // Echo this handler's span tree as the v3 timing block. Spans run on
+      // Echo this handler's span tree as the reply's timing block. Spans run on
       // pool workers (multi-shard fan-out) are histogram-only and absent
       // here — the block shows the coordinating thread's structure.
       for (const obs::SpanRecord& rec : trace.records()) {
@@ -256,14 +256,6 @@ OracleDownload VisualPrintServer::oracle_snapshot() const {
 OracleDownload VisualPrintServer::oracle_snapshot(
     const std::string& place) const {
   return store_->oracle_snapshot(place);
-}
-
-OracleDiff VisualPrintServer::oracle_diff_from(
-    std::span<const std::uint8_t> old_blob) const {
-  const PlaceShard& shard = default_builder();
-  const Bytes new_blob = shard.oracle.serialize();
-  // from_version is unknown to the server here; caller tracks versions.
-  return OracleDiff::make(old_blob, new_blob, 0, shard.oracle_version);
 }
 
 const UniquenessOracle& VisualPrintServer::oracle() const {

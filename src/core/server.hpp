@@ -106,10 +106,6 @@ class VisualPrintServer {
   /// Throws InvalidArgument for an unknown place.
   OracleDownload oracle_snapshot(const std::string& place) const;
 
-  /// Incremental oracle update from a previous serialized snapshot
-  /// (default place).
-  OracleDiff oracle_diff_from(std::span<const std::uint8_t> old_blob) const;
-
   // Default-place accessors (writer-side builder state; read-your-writes).
   const UniquenessOracle& oracle() const;
   const LshIndex& index() const;
@@ -180,7 +176,7 @@ class VisualPrintServer {
   const PlaceShard& default_builder() const;
 
   /// The 'Q' branch of handle_request: runs decode + localize under a
-  /// server-side FrameTrace, echoes trace context on v3 replies, and
+  /// server-side FrameTrace, echoes trace context on traced replies, and
   /// feeds the slow-query log.
   Bytes handle_query(std::span<const std::uint8_t> body,
                      std::uint64_t solver_seed) const;

@@ -32,8 +32,9 @@
 // inflate, and a bucket rebuild — never a descriptor copy. See
 // core/residency.hpp for the lazy-load/LRU machinery layered on top.
 //
-// v3 (PQ sections), v2 (multi-shard), and v1 (single-place) files still
-// load byte-for-byte; only v4 is ever written.
+// v4 is the only format written or read: any other version throws
+// DecodeError. A database saved in an earlier format must be rebuilt by
+// wardriving the place again.
 #include <algorithm>
 #include <fstream>
 #include <memory>
@@ -52,15 +53,11 @@ namespace {
 constexpr std::uint32_t kDbMagic = 0x56504442u;  // "VPDB"
 constexpr std::uint16_t kDbVersion = 4;
 
-/// Bytes per stored keypoint on the legacy (v1-v3) wire: descriptor +
-/// position + labels, interleaved.
-constexpr std::size_t kKeypointWireBytes = kDescriptorDims + 3 * 8 + 4 + 4;
-
-/// v4 stored-keypoint segment stride: position + labels only (descriptors
+/// Stored-keypoint segment stride: position + labels only (descriptors
 /// live in their own flat segment so they can be mmap-borrowed).
 constexpr std::size_t kStoredKeypointWireBytes = 3 * 8 + 4 + 4;
 
-/// v4 segments start on page boundaries so mmap'd spans are aligned.
+/// Segments start on page boundaries so mmap'd spans are aligned.
 constexpr std::size_t kSegmentAlign = 4096;
 
 constexpr std::uint8_t kSegDescriptors = 0;
@@ -81,7 +78,7 @@ void write_index_config(ByteWriter& w, const ServerConfig& cfg) {
   w.u32(static_cast<std::uint32_t>(cfg.index.max_candidates));
   w.u32(static_cast<std::uint32_t>(cfg.neighbors_per_keypoint));
   w.u32(cfg.max_match_distance2);
-  // v3+: PQ mode (the coarse-scan-then-rerank recipe).
+  // PQ mode (the coarse-scan-then-rerank recipe).
   w.u8(cfg.index.pq.enabled ? 1 : 0);
   w.u32(cfg.index.pq.rerank_depth);
   w.u32(static_cast<std::uint32_t>(cfg.index.pq.train.iterations));
@@ -89,8 +86,7 @@ void write_index_config(ByteWriter& w, const ServerConfig& cfg) {
   w.u64(cfg.index.pq.train.seed);
 }
 
-void read_index_config(ByteReader& r, ServerConfig& cfg,
-                       std::uint16_t version) {
+void read_index_config(ByteReader& r, ServerConfig& cfg) {
   cfg.index.lsh.tables = r.u16();
   cfg.index.lsh.projections = r.u16();
   cfg.index.lsh.width = r.f64();
@@ -99,38 +95,11 @@ void read_index_config(ByteReader& r, ServerConfig& cfg,
   cfg.index.max_candidates = r.u32();
   cfg.neighbors_per_keypoint = r.u32();
   cfg.max_match_distance2 = r.u32();
-  if (version >= 3) {
-    cfg.index.pq.enabled = r.u8() != 0;
-    cfg.index.pq.rerank_depth = r.u32();
-    cfg.index.pq.train.iterations = r.u32();
-    cfg.index.pq.train.max_samples = r.u32();
-    cfg.index.pq.train.seed = r.u64();
-  }
-}
-
-void read_keypoints(ByteReader& r, PlaceShard& shard) {
-  const std::uint32_t count = r.u32();
-  // Validate the count against the bytes actually present before
-  // reserving: a lying length field must throw, never over-allocate.
-  if (static_cast<std::uint64_t>(count) * kKeypointWireBytes > r.remaining()) {
-    throw DecodeError{"server db: keypoint count " + std::to_string(count) +
-                      " exceeds payload"};
-  }
-  shard.stored.reserve(count);
-  shard.index.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Descriptor d;
-    const auto raw = r.raw(kDescriptorDims);
-    std::copy(raw.begin(), raw.end(), d.begin());
-    const std::uint32_t id = shard.index.insert(d);
-    VP_ASSERT(id == i);
-    StoredKeypoint s;
-    s.position = {r.f64(), r.f64(), r.f64()};
-    s.scene_id = r.i32();
-    s.source_id = r.u32();
-    shard.scene_count = std::max(shard.scene_count, s.scene_id + 1);
-    shard.stored.push_back(s);
-  }
+  cfg.index.pq.enabled = r.u8() != 0;
+  cfg.index.pq.rerank_depth = r.u32();
+  cfg.index.pq.train.iterations = r.u32();
+  cfg.index.pq.train.max_samples = r.u32();
+  cfg.index.pq.train.seed = r.u64();
 }
 
 // ---------------------------------------------------------------------------
@@ -313,7 +282,7 @@ ShardRecordV4 parse_v4_record(std::span<const std::uint8_t> rec_bytes,
   const Bytes meta = zlib_decompress(meta_z);
   ByteReader mr(meta);
   rec.cfg.place_label = mr.str();
-  read_index_config(mr, rec.cfg, kDbVersion);
+  read_index_config(mr, rec.cfg);
   rec.epoch = mr.u32();
   rec.oracle_version = mr.u32();
   rec.count = mr.u32();
@@ -339,8 +308,8 @@ ShardRecordV4 parse_v4_record(std::span<const std::uint8_t> rec_bytes,
 
 ParsedV4 parse_v4(std::span<const std::uint8_t> data) {
   ByteReader r(data);
-  r.u32();  // magic, validated by the caller
-  r.u16();  // version, validated by the caller
+  if (r.u32() != kDbMagic) throw DecodeError{"server db: bad magic"};
+  if (r.u16() != kDbVersion) throw DecodeError{"server db: bad version"};
   const std::uint64_t file_size = r.u64();
   if (file_size != data.size()) {
     throw DecodeError{"server db: header claims " + std::to_string(file_size) +
@@ -408,99 +377,6 @@ std::unique_ptr<PlaceShard> load_v4_shard(
 }
 
 // ---------------------------------------------------------------------------
-// legacy readers (v1-v3)
-
-std::unique_ptr<PlaceShard> parse_shard(std::span<const std::uint8_t> data,
-                                        std::uint16_t version) {
-  ByteReader r(data);
-  std::string place = r.str();
-  ServerConfig cfg;
-  cfg.place_label = r.str();
-  read_index_config(r, cfg, version);
-  const std::uint32_t epoch = r.u32();
-  const std::uint32_t oracle_version = r.u32();
-  UniquenessOracle oracle =
-      UniquenessOracle::deserialize(zlib_decompress(r.blob()));
-  cfg.oracle = oracle.config();
-  auto shard = std::make_unique<PlaceShard>(std::move(place), std::move(cfg));
-  shard->oracle = std::move(oracle);
-  shard->epoch = epoch;
-  shard->oracle_version = oracle_version;
-  read_keypoints(r, *shard);
-  if (version >= 3 && r.u8() != 0) {
-    // Validate both payloads against their exact expected sizes before
-    // installing anything: zlib checksums catch bit rot, but a truncated
-    // or substituted blob that still inflates must throw, never yield a
-    // half-usable codebook. from_raw enforces the codebook size.
-    PqCodebook codebook = PqCodebook::from_raw(zlib_decompress(r.blob()));
-    Bytes codes = zlib_decompress(r.blob());
-    if (codes.size() != shard->index.size() * kPqCodeBytes) {
-      throw DecodeError{"server db: pq codes cover " +
-                        std::to_string(codes.size() / kPqCodeBytes) +
-                        " descriptors, shard stores " +
-                        std::to_string(shard->index.size())};
-    }
-    shard->index.restore_pq(std::move(codebook), std::move(codes));
-  }
-  if (!r.done()) throw DecodeError{"server db: trailing bytes in shard"};
-  return shard;
-}
-
-/// v1 payload (everything after the header): one implicit shard whose
-/// place id is its place label. Field order is fixed by the v1 writer:
-/// config, oracle, keypoints, then the oracle version.
-std::unique_ptr<PlaceShard> parse_v1(ByteReader& r) {
-  ServerConfig cfg;
-  cfg.place_label = r.str();
-  read_index_config(r, cfg, 1);
-  UniquenessOracle oracle =
-      UniquenessOracle::deserialize(zlib_decompress(r.blob()));
-  cfg.oracle = oracle.config();
-  // Copy the place id out first: argument evaluation order is unspecified,
-  // so `make_unique<PlaceShard>(cfg.place_label, std::move(cfg))` may move
-  // cfg (emptying place_label) before reading it.
-  std::string place = cfg.place_label;
-  auto shard = std::make_unique<PlaceShard>(std::move(place), std::move(cfg));
-  shard->oracle = std::move(oracle);
-  read_keypoints(r, *shard);
-  shard->oracle_version = r.u32();
-  shard->epoch = 1;  // restored state counts as one publish
-  if (!r.done()) throw DecodeError{"server db: trailing bytes"};
-  return shard;
-}
-
-/// Cheap partial parse of a legacy (v2/v3) shard blob: place, config, and
-/// epoch for the residency manifest, skipping over the oracle and keypoint
-/// payloads without inflating or copying them. The full parse_shard run
-/// happens at fault time.
-struct LegacyPeek {
-  std::string place;
-  ServerConfig cfg;
-  std::uint32_t epoch = 0;
-  bool has_pq = false;
-};
-
-LegacyPeek peek_legacy_shard(std::span<const std::uint8_t> blob,
-                             std::uint16_t version) {
-  ByteReader r(blob);
-  LegacyPeek p;
-  p.place = r.str();
-  p.cfg.place_label = r.str();
-  read_index_config(r, p.cfg, version);
-  p.epoch = r.u32();
-  r.u32();   // oracle_version
-  r.blob();  // oracle payload, skipped
-  const std::uint32_t count = r.u32();
-  if (static_cast<std::uint64_t>(count) * kKeypointWireBytes > r.remaining()) {
-    throw DecodeError{"server db: keypoint count " + std::to_string(count) +
-                      " exceeds payload"};
-  }
-  r.raw(count * kKeypointWireBytes);
-  p.has_pq = version >= 3 && r.u8() != 0;
-  return p;
-}
-
-// ---------------------------------------------------------------------------
 // whole-database parse (eager and lazy)
 
 struct ParsedDb {
@@ -508,39 +384,18 @@ struct ParsedDb {
   std::vector<std::unique_ptr<PlaceShard>> shards;
 };
 
-/// Eager parse of any supported version. `keepalive`, when non-null, must
-/// own the bytes behind `data` (an open MappedFile); v4 shards then borrow
-/// their descriptor/code segments in place instead of copying.
+/// Eager parse. `keepalive`, when non-null, must own the bytes behind
+/// `data` (an open MappedFile); shards then borrow their descriptor/code
+/// segments in place instead of copying.
 ParsedDb parse_db(std::span<const std::uint8_t> data,
                   std::shared_ptr<const void> keepalive) {
-  ByteReader r(data);
-  if (r.u32() != kDbMagic) throw DecodeError{"server db: bad magic"};
-  const std::uint16_t version = r.u16();
+  ParsedV4 v4 = parse_v4(data);
   ParsedDb db;
-  if (version == 1) {
-    db.shards.push_back(parse_v1(r));
-    db.default_place = db.shards.back()->place;
-    return db;
+  db.default_place = std::move(v4.default_place);
+  db.shards.reserve(v4.shards.size());
+  for (const ShardRecordV4& rec : v4.shards) {
+    db.shards.push_back(load_v4_shard(rec, data, keepalive));
   }
-  if (version == kDbVersion) {
-    ParsedV4 v4 = parse_v4(data);
-    db.default_place = std::move(v4.default_place);
-    db.shards.reserve(v4.shards.size());
-    for (const ShardRecordV4& rec : v4.shards) {
-      db.shards.push_back(load_v4_shard(rec, data, keepalive));
-    }
-    return db;
-  }
-  if (version != 2 && version != 3) {
-    throw DecodeError{"server db: bad version"};
-  }
-  db.default_place = r.str();
-  const std::uint32_t shard_count = r.u32();
-  db.shards.reserve(std::min<std::size_t>(shard_count, 1024));
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
-    db.shards.push_back(parse_shard(r.blob(), version));
-  }
-  if (!r.done()) throw DecodeError{"server db: trailing bytes"};
   return db;
 }
 
@@ -553,80 +408,29 @@ struct LazyDb {
 /// Parse only the manifest of a database file: per shard, its place,
 /// epoch, storage mode, a resident-byte estimate, and a loader closure
 /// over the shared mapping. No descriptor, oracle, or code payload is
-/// touched; for v4 that is one header-region scan plus one small meta
-/// inflate per shard.
+/// touched: one header-region scan plus one small meta inflate per shard.
 LazyDb parse_lazy_db(const std::shared_ptr<const MappedFile>& mapping) {
-  const auto data = mapping->bytes();
-  ByteReader r(data);
-  if (r.u32() != kDbMagic) throw DecodeError{"server db: bad magic"};
-  const std::uint16_t version = r.u16();
+  ParsedV4 v4 = parse_v4(mapping->bytes());
   LazyDb db;
-
-  if (version == kDbVersion) {
-    ParsedV4 v4 = parse_v4(data);
-    db.default_place = v4.default_place;
-    for (const ShardRecordV4& rec : v4.shards) {
-      if (rec.place == db.default_place) db.default_cfg = rec.cfg;
-      ShardResidencyManager::Manifest m;
-      m.place = rec.place;
-      m.epoch = rec.epoch;
-      m.bytes = static_cast<std::size_t>(rec.descriptors.length +
-                                         rec.keypoints.length +
-                                         rec.codes.length) +
-                rec.oracle_z.size();
-      m.storage = rec.has_pq ? "pq" : "exact";
-      // The record copy holds spans into the mapping; the captured mapping
-      // keeps them (and the loaded shard's borrowed buffers) alive.
-      ShardRecordV4 rc = rec;
-      m.loader = [mapping, rc = std::move(rc)]() {
-        return load_v4_shard(rc, mapping->bytes(), mapping);
-      };
-      db.manifests.push_back(std::move(m));
-    }
-    return db;
-  }
-
-  if (version == 1) {
-    LegacyPeek p;
-    p.cfg.place_label = r.str();
-    read_index_config(r, p.cfg, 1);
-    db.default_place = p.cfg.place_label;
-    db.default_cfg = p.cfg;
+  db.default_place = v4.default_place;
+  for (const ShardRecordV4& rec : v4.shards) {
+    if (rec.place == db.default_place) db.default_cfg = rec.cfg;
     ShardResidencyManager::Manifest m;
-    m.place = db.default_place;
-    m.epoch = 1;
-    m.bytes = data.size();
-    m.storage = "exact";
-    m.loader = [mapping]() {
-      ByteReader lr(mapping->bytes());
-      lr.u32();  // magic
-      lr.u16();  // version
-      return parse_v1(lr);
-    };
-    db.manifests.push_back(std::move(m));
-    return db;
-  }
-
-  if (version != 2 && version != 3) {
-    throw DecodeError{"server db: bad version"};
-  }
-  db.default_place = r.str();
-  const std::uint32_t shard_count = r.u32();
-  for (std::uint32_t i = 0; i < shard_count; ++i) {
-    const auto blob = r.blob();
-    LegacyPeek p = peek_legacy_shard(blob, version);
-    if (p.place == db.default_place) db.default_cfg = p.cfg;
-    ShardResidencyManager::Manifest m;
-    m.place = std::move(p.place);
-    m.epoch = p.epoch;
-    m.bytes = blob.size();
-    m.storage = p.has_pq ? "pq" : "exact";
-    m.loader = [mapping, blob, version]() {
-      return parse_shard(blob, version);
+    m.place = rec.place;
+    m.epoch = rec.epoch;
+    m.bytes = static_cast<std::size_t>(rec.descriptors.length +
+                                       rec.keypoints.length +
+                                       rec.codes.length) +
+              rec.oracle_z.size();
+    m.storage = rec.has_pq ? "pq" : "exact";
+    // The record copy holds spans into the mapping; the captured mapping
+    // keeps them (and the loaded shard's borrowed buffers) alive.
+    ShardRecordV4 rc = rec;
+    m.loader = [mapping, rc = std::move(rc)]() {
+      return load_v4_shard(rc, mapping->bytes(), mapping);
     };
     db.manifests.push_back(std::move(m));
   }
-  if (!r.done()) throw DecodeError{"server db: trailing bytes"};
   return db;
 }
 
@@ -642,7 +446,7 @@ Bytes VisualPrintServer::serialize() const {
 
 VisualPrintServer VisualPrintServer::deserialize(
     std::span<const std::uint8_t> data) {
-  // No keepalive: the caller's span may die after this call, so v4 bulk
+  // No keepalive: the caller's span may die after this call, so bulk
   // segments are copied into owned storage.
   ParsedDb db = parse_db(data, nullptr);
   // The server's default config mirrors the default shard's, so the
@@ -686,8 +490,8 @@ VisualPrintServer VisualPrintServer::load(const std::string& path,
     }
     return server;
   }
-  // Eager: v4 shards borrow their bulk segments straight out of the
-  // mapping (which the shards keep alive); v1-v3 rebuild by insertion.
+  // Eager: shards borrow their bulk segments straight out of the mapping
+  // (which the shards keep alive).
   ParsedDb db = parse_db(mapping->bytes(), mapping);
   ServerConfig cfg;
   cfg.place_label = db.default_place;

@@ -210,7 +210,7 @@ SessionStats Session::run() {
       if (config_.localize_on_server && query.has_value() &&
           config_.mode == OffloadMode::kVisualPrint) {
         if (config_.collect_traces) {
-          // Deterministic per-frame trace context (wire v3): reruns with
+          // Deterministic per-frame trace context: reruns with
           // the same seed produce identical trace ids.
           const std::uint64_t id = config_.seed ^ (0x7aceULL << 48) ^
                                    (query->frame_id + std::uint64_t{1});

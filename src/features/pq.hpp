@@ -94,7 +94,7 @@ class PqCodebook {
 
   /// Inverse of encode up to quantization: concatenate the code's 16
   /// centroid subvectors into a 128-byte descriptor. This is how a compact
-  /// (v4) query re-enters the exact ranking pipeline server-side.
+  /// query re-enters the exact ranking pipeline server-side.
   void reconstruct(const std::uint8_t* code,
                    std::uint8_t* descriptor) const noexcept;
 

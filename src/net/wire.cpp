@@ -14,28 +14,23 @@ constexpr std::uint32_t kQueryMagic = 0x56505121u;   // "VPQ!"
 constexpr std::uint32_t kFrameMagic = 0x56504621u;   // "VPF!"
 constexpr std::uint32_t kLocMagic = 0x56504c21u;     // "VPL!"
 constexpr std::uint32_t kOracleMagic = 0x56504f21u;  // "VPO!"
-constexpr std::uint32_t kDiffMagic = 0x56504421u;    // "VPD!"
 constexpr std::uint32_t kStatsReqMagic = 0x56505321u;   // "VPS!"
 constexpr std::uint32_t kStatsRespMagic = 0x56505421u;  // "VPT!"
 constexpr std::uint32_t kErrorMagic = 0x56504521u;      // "VPE!"
 constexpr std::uint32_t kOracleReqMagic = 0x56505221u;  // "VPR!"
-constexpr std::uint16_t kVersion = 1;
-/// Messages that grew place/epoch fields for the sharded MapStore encode
-/// at v2; their decoders still accept v1 frames (fields default).
-constexpr std::uint16_t kPlacedVersion = 2;
-/// Query/response pairs carrying cross-process trace context encode at v3
-/// — but only when a nonzero trace_id is present, so untraced messages
-/// stay byte-identical to v2 and pre-trace peers interoperate untouched.
-constexpr std::uint16_t kTracedVersion = 3;
-/// Compact-uplink queries (PQ codes instead of raw descriptors) encode at
-/// v4 — only when codes are present, so raw queries keep their v2/v3
-/// bytes. The v4 trace tail is unconditional (trace_id 0 allowed).
-constexpr std::uint16_t kCompactVersion = 4;
-/// Oracle downloads carrying the place's PQ codebook encode at v3; the
-/// codebook-less message stays byte-identical v2.
-constexpr std::uint16_t kCodebookVersion = 3;
+/// The one version every message encodes at. It is above every earlier
+/// layout's (1-4), so a frame in one of those is rejected, never misread.
+constexpr std::uint16_t kWireVersion = 5;
 
-/// Quarter-pixel fixed-point coordinate for the v4 compact feature.
+/// Flag bits of the u8 that follows the header of the three messages with
+/// optional sections. Decoders reject any bit outside their mask.
+constexpr std::uint8_t kQueryTraced = 0x01;   ///< trace tail present
+constexpr std::uint8_t kQueryCompact = 0x02;  ///< PQ codes, not raw features
+constexpr std::uint8_t kQueryFlagMask = kQueryTraced | kQueryCompact;
+constexpr std::uint8_t kReplyTraced = 0x01;   ///< trace id + span block
+constexpr std::uint8_t kOracleCodebook = 0x01;  ///< PQ codebook blob
+
+/// Quarter-pixel fixed-point coordinate for the compact query feature.
 std::uint16_t quantize_coord(float v) noexcept {
   const float scaled = v * kCompactCoordScale + 0.5f;
   if (!(scaled > 0.0f)) return 0;  // negatives and NaN clamp to 0
@@ -45,21 +40,25 @@ std::uint16_t quantize_coord(float v) noexcept {
 
 void expect_header(ByteReader& r, std::uint32_t magic, const char* what) {
   if (r.u32() != magic) throw DecodeError{std::string(what) + ": bad magic"};
-  if (r.u16() != kVersion) {
+  if (r.u16() != kWireVersion) {
     throw DecodeError{std::string(what) + ": unsupported version"};
   }
 }
 
-/// Header check for the place/epoch-aware messages: accepts versions
-/// 1..max_version and returns the one on the wire.
-std::uint16_t read_header_upto(ByteReader& r, std::uint32_t magic,
-                               std::uint16_t max_version, const char* what) {
-  if (r.u32() != magic) throw DecodeError{std::string(what) + ": bad magic"};
-  const std::uint16_t version = r.u16();
-  if (version < 1 || version > max_version) {
-    throw DecodeError{std::string(what) + ": unsupported version"};
+void write_header(ByteWriter& w, std::uint32_t magic) {
+  w.u32(magic);
+  w.u16(kWireVersion);
+}
+
+/// Header check plus the flags byte of a message with optional sections.
+std::uint8_t read_flagged_header(ByteReader& r, std::uint32_t magic,
+                                 std::uint8_t mask, const char* what) {
+  expect_header(r, magic, what);
+  const std::uint8_t flags = r.u8();
+  if ((flags & ~mask) != 0) {
+    throw DecodeError{std::string(what) + ": unknown flag bits"};
   }
-  return version;
+  return flags;
 }
 
 }  // namespace
@@ -73,9 +72,9 @@ Bytes FingerprintQuery::encode() const {
                "fingerprint query: compact encode needs a codebook epoch");
   }
   ByteWriter w(wire_size());
-  w.u32(kQueryMagic);
-  w.u16(compact() ? kCompactVersion
-                  : (trace_id != 0 ? kTracedVersion : kPlacedVersion));
+  write_header(w, kQueryMagic);
+  w.u8(static_cast<std::uint8_t>((trace_id != 0 ? kQueryTraced : 0) |
+                                 (compact() ? kQueryCompact : 0)));
   w.u32(frame_id);
   w.f64(capture_time);
   w.u16(image_width);
@@ -92,15 +91,10 @@ Bytes FingerprintQuery::encode() const {
       w.raw(std::span<const std::uint8_t>(codes.data() + i * kPqCodeBytes,
                                           kPqCodeBytes));
     }
-    // The trace tail is unconditional in v4: the version byte already
-    // departed from the v2/v3 stream, so there is no compat reason to
-    // make the tail optional, and trace_id 0 (untraced) stays encodable.
-    w.u64(trace_id);
-    w.u8(trace_flags);
-    return w.take();
+  } else {
+    w.u32(static_cast<std::uint32_t>(features.size()));
+    for (const auto& f : features) serialize_feature(f, w);
   }
-  w.u32(static_cast<std::uint32_t>(features.size()));
-  for (const auto& f : features) serialize_feature(f, w);
   if (trace_id != 0) {
     w.u64(trace_id);
     w.u8(trace_flags);
@@ -111,24 +105,25 @@ Bytes FingerprintQuery::encode() const {
 FingerprintQuery FingerprintQuery::decode(std::span<const std::uint8_t> data) {
   VP_OBS_SPAN("decode");
   ByteReader r(data);
-  const std::uint16_t version =
-      read_header_upto(r, kQueryMagic, kCompactVersion, "fingerprint query");
+  const std::uint8_t flags =
+      read_flagged_header(r, kQueryMagic, kQueryFlagMask, "fingerprint query");
   FingerprintQuery q;
   q.frame_id = r.u32();
   q.capture_time = r.f64();
   q.image_width = r.u16();
   q.image_height = r.u16();
   q.fov_h = r.f32();
-  if (version >= 2) {
-    q.place = r.str();
-    q.oracle_epoch = r.u32();
-  }
-  if (version == kCompactVersion) {
+  q.place = r.str();
+  q.oracle_epoch = r.u32();
+  if ((flags & kQueryCompact) != 0) {
     q.codebook_epoch = r.u32();
     if (q.codebook_epoch == 0) {
-      throw DecodeError{"fingerprint query: v4 frame with zero codebook epoch"};
+      throw DecodeError{"fingerprint query: compact frame with zero codebook "
+                        "epoch"};
     }
     const std::uint32_t n = r.u32();
+    // Validate the count against the bytes actually present before
+    // reserving: a lying length field must throw, never over-allocate.
     if (static_cast<std::uint64_t>(n) * kCompactFeatureWireBytes >
         r.remaining()) {
       throw DecodeError{"fingerprint query: compact feature count " +
@@ -147,27 +142,22 @@ FingerprintQuery FingerprintQuery::decode(std::span<const std::uint8_t> data) {
       const auto code = r.raw(kPqCodeBytes);
       q.codes.insert(q.codes.end(), code.begin(), code.end());
     }
-    q.trace_id = r.u64();
-    q.trace_flags = r.u8();
-    if (!r.done()) throw DecodeError{"fingerprint query: trailing bytes"};
-    return q;
+  } else {
+    const std::uint32_t n = r.u32();
+    if (static_cast<std::uint64_t>(n) * kFeatureWireBytes > r.remaining()) {
+      throw DecodeError{"fingerprint query: feature count " +
+                        std::to_string(n) + " exceeds payload"};
+    }
+    q.features.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      q.features.push_back(deserialize_feature(r));
+    }
   }
-  const std::uint32_t n = r.u32();
-  // Validate the count against the bytes actually present before reserving:
-  // a lying length field must throw, never over-allocate.
-  if (static_cast<std::uint64_t>(n) * kFeatureWireBytes > r.remaining()) {
-    throw DecodeError{"fingerprint query: feature count " + std::to_string(n) +
-                      " exceeds payload"};
-  }
-  q.features.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    q.features.push_back(deserialize_feature(r));
-  }
-  if (version >= 3) {
+  if ((flags & kQueryTraced) != 0) {
     q.trace_id = r.u64();
     q.trace_flags = r.u8();
     if (q.trace_id == 0) {
-      throw DecodeError{"fingerprint query: v3 frame with zero trace_id"};
+      throw DecodeError{"fingerprint query: traced frame with zero trace_id"};
     }
   }
   if (!r.done()) throw DecodeError{"fingerprint query: trailing bytes"};
@@ -175,18 +165,16 @@ FingerprintQuery FingerprintQuery::decode(std::span<const std::uint8_t> data) {
 }
 
 std::size_t FingerprintQuery::wire_size() const noexcept {
-  const std::size_t head = 4 + 2 + 4 + 8 + 2 + 2 + 4 + (4 + place.size()) + 4;
-  if (compact()) {
-    return head + 4 + 4 + features.size() * kCompactFeatureWireBytes + 8 + 1;
-  }
-  return head + 4 + features.size() * kFeatureWireBytes +
-         (trace_id != 0 ? 8 + 1 : 0);
+  const std::size_t head =
+      4 + 2 + 1 + 4 + 8 + 2 + 2 + 4 + (4 + place.size()) + 4;
+  const std::size_t body =
+      compact() ? 4 + 4 + features.size() * kCompactFeatureWireBytes
+                : 4 + features.size() * kFeatureWireBytes;
+  return head + body + (trace_id != 0 ? 8 + 1 : 0);
 }
-
 Bytes FrameUpload::encode() const {
   ByteWriter w(32 + payload.size());
-  w.u32(kFrameMagic);
-  w.u16(kVersion);
+  write_header(w, kFrameMagic);
   w.u32(frame_id);
   w.f64(capture_time);
   w.u8(codec);
@@ -210,8 +198,8 @@ FrameUpload FrameUpload::decode(std::span<const std::uint8_t> data) {
 Bytes LocationResponse::encode() const {
   ByteWriter w(96 + place_label.size() + place.size() +
                (trace_id != 0 ? 16 + server_spans.size() * 32 : 0));
-  w.u32(kLocMagic);
-  w.u16(trace_id != 0 ? kTracedVersion : kPlacedVersion);
+  write_header(w, kLocMagic);
+  w.u8(trace_id != 0 ? kReplyTraced : 0);
   w.u32(frame_id);
   w.u8(found ? 1 : 0);
   w.f64(position.x);
@@ -246,8 +234,8 @@ Bytes LocationResponse::encode() const {
 
 LocationResponse LocationResponse::decode(std::span<const std::uint8_t> data) {
   ByteReader r(data);
-  const std::uint16_t version =
-      read_header_upto(r, kLocMagic, kTracedVersion, "location response");
+  const std::uint8_t flags =
+      read_flagged_header(r, kLocMagic, kReplyTraced, "location response");
   LocationResponse resp;
   resp.frame_id = r.u32();
   resp.found = r.u8() != 0;
@@ -258,11 +246,11 @@ LocationResponse LocationResponse::decode(std::span<const std::uint8_t> data) {
   resp.residual = r.f64();
   resp.matched_keypoints = r.u32();
   resp.place_label = r.str();
-  if (version >= 2) resp.place = r.str();
-  if (version >= 3) {
+  resp.place = r.str();
+  if ((flags & kReplyTraced) != 0) {
     resp.trace_id = r.u64();
     if (resp.trace_id == 0) {
-      throw DecodeError{"location response: v3 frame with zero trace_id"};
+      throw DecodeError{"location response: traced frame with zero trace_id"};
     }
     const std::uint8_t count = r.u8();
     if (count > WireSpan::kMaxWireSpans) {
@@ -306,9 +294,9 @@ UniquenessOracle OracleDownload::unpack() const {
 }
 
 Bytes OracleDownload::encode() const {
-  ByteWriter w(16 + place.size() + compressed.size() + codebook.size());
-  w.u32(kOracleMagic);
-  w.u16(codebook.empty() ? kPlacedVersion : kCodebookVersion);
+  ByteWriter w(20 + place.size() + compressed.size() + codebook.size());
+  write_header(w, kOracleMagic);
+  w.u8(codebook.empty() ? 0 : kOracleCodebook);
   w.u32(epoch);
   w.str(place);
   w.blob(compressed);
@@ -318,18 +306,17 @@ Bytes OracleDownload::encode() const {
 
 OracleDownload OracleDownload::decode(std::span<const std::uint8_t> data) {
   ByteReader r(data);
-  const std::uint16_t version =
-      read_header_upto(r, kOracleMagic, kCodebookVersion, "oracle download");
+  const std::uint8_t flags =
+      read_flagged_header(r, kOracleMagic, kOracleCodebook, "oracle download");
   OracleDownload d;
-  d.epoch = r.u32();  // v1 frames: the old `version` counter reads as epoch
-  if (version >= 2) d.place = r.str();
+  d.epoch = r.u32();
+  d.place = r.str();
   const auto b = r.blob();
   d.compressed.assign(b.begin(), b.end());
-  if (version >= kCodebookVersion) {
+  if ((flags & kOracleCodebook) != 0) {
     const auto cb = r.blob();
-    // The v3 codebook payload has exactly one valid size; anything else is
-    // corruption (a codebook-less download encodes as v2, never as an
-    // empty v3 blob).
+    // The codebook has exactly one valid size; anything else is corruption
+    // (a codebook-less download clears the flag, never sends an empty blob).
     if (cb.size() != kPqCodebookBytes) {
       throw DecodeError{"oracle download: codebook payload of " +
                         std::to_string(cb.size()) + " bytes"};
@@ -342,8 +329,7 @@ OracleDownload OracleDownload::decode(std::span<const std::uint8_t> data) {
 
 Bytes OracleRequest::encode() const {
   ByteWriter w(16 + place.size());
-  w.u32(kOracleReqMagic);
-  w.u16(kVersion);
+  write_header(w, kOracleReqMagic);
   w.str(place);
   return w.take();
 }
@@ -357,67 +343,11 @@ OracleRequest OracleRequest::decode(std::span<const std::uint8_t> data) {
   return q;
 }
 
-OracleDiff OracleDiff::make(std::span<const std::uint8_t> old_blob,
-                            std::span<const std::uint8_t> new_blob,
-                            std::uint32_t from_version,
-                            std::uint32_t to_version) {
-  // XOR against the old blob (zero-padded); unsaturated Bloom words rarely
-  // change between refreshes, so the XOR is mostly zeros and compresses
-  // far better than a full snapshot.
-  Bytes x(new_blob.size());
-  for (std::size_t i = 0; i < new_blob.size(); ++i) {
-    x[i] = new_blob[i] ^ (i < old_blob.size() ? old_blob[i] : 0);
-  }
-  OracleDiff d;
-  d.from_version = from_version;
-  d.to_version = to_version;
-  ByteWriter w(8 + x.size());
-  w.u64(new_blob.size());
-  w.raw(x);
-  d.compressed_xor = zlib_compress(w.bytes(), 9);
-  return d;
-}
-
-Bytes OracleDiff::apply(std::span<const std::uint8_t> old_blob) const {
-  const Bytes raw = zlib_decompress(compressed_xor);
-  ByteReader r(raw);
-  const std::uint64_t new_size = r.u64();
-  const auto x = r.raw(static_cast<std::size_t>(new_size));
-  Bytes out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = x[i] ^ (i < old_blob.size() ? old_blob[i] : 0);
-  }
-  return out;
-}
-
-Bytes OracleDiff::encode() const {
-  ByteWriter w(24 + compressed_xor.size());
-  w.u32(kDiffMagic);
-  w.u16(kVersion);
-  w.u32(from_version);
-  w.u32(to_version);
-  w.blob(compressed_xor);
-  return w.take();
-}
-
-OracleDiff OracleDiff::decode(std::span<const std::uint8_t> data) {
-  ByteReader r(data);
-  expect_header(r, kDiffMagic, "oracle diff");
-  OracleDiff d;
-  d.from_version = r.u32();
-  d.to_version = r.u32();
-  const auto b = r.blob();
-  d.compressed_xor.assign(b.begin(), b.end());
-  if (!r.done()) throw DecodeError{"oracle diff: trailing bytes"};
-  return d;
-}
-
 Bytes ErrorResponse::encode() const {
   const std::string_view trimmed =
       std::string_view(message).substr(0, kMaxMessageBytes);
   ByteWriter w(16 + trimmed.size());
-  w.u32(kErrorMagic);
-  w.u16(kVersion);
+  write_header(w, kErrorMagic);
   w.u16(code);
   w.str(trimmed);
   return w.take();
@@ -450,8 +380,7 @@ bool is_error_frame(std::span<const std::uint8_t> frame) noexcept {
 
 Bytes StatsRequest::encode() const {
   ByteWriter w(8);
-  w.u32(kStatsReqMagic);
-  w.u16(kVersion);
+  write_header(w, kStatsReqMagic);
   w.u8(format);
   return w.take();
 }
@@ -470,8 +399,7 @@ StatsRequest StatsRequest::decode(std::span<const std::uint8_t> data) {
 
 Bytes StatsResponse::encode() const {
   ByteWriter w(16 + text.size());
-  w.u32(kStatsRespMagic);
-  w.u16(kVersion);
+  write_header(w, kStatsRespMagic);
   w.u8(format);
   w.str(text);
   return w.take();

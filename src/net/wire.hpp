@@ -1,10 +1,14 @@
 // Wire formats for the client <-> cloud protocol.
 //
-// Four message types cover the system: the fingerprint query (the ~200
-// most-unique keypoints, the paper's ~30-50 KB upload), the whole-frame
-// upload (the baseline VisualPrint replaces), the oracle download (the
-// ~10 MB GZIP-compressed Bloom tables), and the location response.
-// All messages carry a 4-byte magic + u16 version header.
+// The offload path needs three messages: the fingerprint query (the ~200
+// most-unique keypoints, the paper's ~30-50 KB upload), the location
+// response, and the oracle download (the ~10 MB GZIP-compressed Bloom
+// tables). Beside them sit the whole-frame upload (the baseline
+// VisualPrint replaces) and the small request/stats/error messages.
+// Every message carries a 4-byte magic + u16 version header, and every
+// message has one layout at one version. The query, response and download
+// follow the header with a u8 flags byte naming which optional sections
+// are present; decoders reject unknown bits. See docs/WIRE_PROTOCOL.md.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +25,7 @@ namespace vp {
 
 class ThreadPool;
 
-/// One compact (v4) query feature on the wire: quantized pixel position
+/// One compact query feature on the wire: quantized pixel position
 /// (2 x u16, quarter-pixel fixed point) plus the 16-byte PQ code — 20
 /// bytes instead of the 144-byte raw feature (7.2x). Scale and
 /// orientation are dropped: the server-side localization pipeline reads
@@ -50,23 +54,21 @@ struct FingerprintQuery {
   /// ranked by an outdated uniqueness table.
   std::uint32_t oracle_epoch = 0;
   std::vector<Feature> features;
-  /// Compact uplink (v4): one kPqCodeBytes PQ code per feature, flat
+  /// Compact uplink: one kPqCodeBytes PQ code per feature, flat
   /// kPqCodeBytes stride, index-parallel with `features`. Non-empty codes
-  /// switch encode() to the v4 compact wire format — quantized keypoint
-  /// positions plus codes, no raw descriptors — cutting the per-feature
-  /// payload from 144 to 20 bytes. Empty codes (the default) keep the raw
-  /// v2/v3 format, so compact and raw clients interoperate untouched.
+  /// set the query's compact flag — quantized keypoint positions plus
+  /// codes, no raw descriptors — cutting the per-feature payload from 144
+  /// to 20 bytes. Empty codes (the default) ship raw features.
   Bytes codes;
   /// Epoch of the place's codebook the codes were encoded against (the
-  /// OracleDownload that carried it). Required nonzero on the v4 wire; a
+  /// OracleDownload that carried it). Required nonzero when compact; a
   /// mismatch with the place's published epoch makes the server answer
   /// `kStaleOracle` so the client refreshes codebook + oracle and resends.
   std::uint32_t codebook_epoch = 0;
-  /// Cross-process trace context (v3). A nonzero id correlates this query
-  /// with the client's FrameTrace; the server keys its handler trace and
-  /// slow-query log entry by it. 0 = untraced — the query encodes as v2,
-  /// byte-identical to a pre-trace client, so traced and untraced peers
-  /// interoperate without negotiation.
+  /// Cross-process trace context. A nonzero id correlates this query with
+  /// the client's FrameTrace; the server keys its handler trace and
+  /// slow-query log entry by it, and the query's traced flag is set. 0 =
+  /// untraced: no trace tail on the wire (and `trace_flags` is dropped).
   std::uint64_t trace_id = 0;
   /// Bit 0 (`obs::kTraceSampled`): ask the server to echo its span block
   /// back on the LocationResponse. Other bits reserved (must decode, are
@@ -94,7 +96,7 @@ struct FrameUpload {
   static FrameUpload decode(std::span<const std::uint8_t> data);
 };
 
-/// One server-side span echoed back on a LocationResponse v3: a compact
+/// One server-side span echoed back on a traced LocationResponse: a compact
 /// projection of obs::SpanRecord (f32 times, i16 parent) sized for the
 /// wire — a full server trace is ~5 spans, so the block stays under 200
 /// bytes.
@@ -121,12 +123,12 @@ struct LocationResponse {
   /// Shard id that answered (matters for fan-out queries; echoes the
   /// request's place for targeted ones, "" for a miss on an empty store).
   std::string place;
-  /// Echo of the query's trace_id (v3). 0 = untraced — encodes as v2, so
-  /// a v2 client that sent no trace context gets a v2 reply.
+  /// Echo of the query's trace_id. Nonzero sets the reply's traced flag;
+  /// 0 = untraced, and the reply carries no trace id or span block.
   std::uint64_t trace_id = 0;
-  /// Server handler span block (v3, present only when the query set the
-  /// sampled flag). Empty blocks encode as zero spans, not as v2: the
-  /// trace_id echo alone is worth the 9 bytes.
+  /// Server handler span block (filled only when the query set the sampled
+  /// flag). Sent only with a nonzero trace_id; an empty block encodes as
+  /// zero spans — the trace_id echo alone is worth the 9 bytes.
   std::vector<WireSpan> server_spans;
 
   Bytes encode() const;
@@ -145,9 +147,8 @@ struct OracleDownload {
   Bytes compressed;
   /// The place's PQ codebook (exactly kPqCodebookBytes), present when the
   /// shard serves product-quantized storage — the client encodes compact
-  /// (v4) query fingerprints against it. Empty when the shard is exact-
-  /// only; the message then encodes as v2, byte-identical to a pre-compact
-  /// server, so old clients and codebook-less servers interoperate.
+  /// query fingerprints against it. Non-empty sets the download's codebook
+  /// flag; empty when the shard is exact-only.
   Bytes codebook;
 
   /// `pool` only speeds up the zlib pass; the bytes are the same with or
@@ -231,27 +232,6 @@ struct StatsResponse {
 
   Bytes encode() const;
   static StatsResponse decode(std::span<const std::uint8_t> data);
-};
-
-/// Server -> client incremental refresh: XOR diff between two oracle
-/// snapshots, compressed. The paper lists this as not-yet-implemented
-/// ("We could reduce data transfer by sending only a compressed bitmask
-/// representing the diff between versions"); implemented here.
-struct OracleDiff {
-  std::uint32_t from_version = 0;
-  std::uint32_t to_version = 0;
-  Bytes compressed_xor;  ///< zlib of (new_blob XOR old_blob), size-padded
-
-  /// Diff between serialized snapshots (old may be shorter after growth).
-  static OracleDiff make(std::span<const std::uint8_t> old_blob,
-                         std::span<const std::uint8_t> new_blob,
-                         std::uint32_t from_version, std::uint32_t to_version);
-
-  /// Reconstruct the new serialized snapshot from the old one.
-  Bytes apply(std::span<const std::uint8_t> old_blob) const;
-
-  Bytes encode() const;
-  static OracleDiff decode(std::span<const std::uint8_t> data);
 };
 
 }  // namespace vp

@@ -32,7 +32,7 @@ struct SpanRecord {
   double duration_ms = 0;    ///< 0 until the span closes
 };
 
-/// Per-frame trace context carried across the wire (FingerprintQuery v3):
+/// Per-frame trace context carried across the wire (a traced FingerprintQuery):
 /// a nonzero id correlates client, link, and server records of the same
 /// frame; the sampled bit asks the server to echo its span block back.
 inline constexpr std::uint8_t kTraceSampled = 0x01;
@@ -144,7 +144,7 @@ class Span {
 // One frame's journey through the offload pipeline, assembled on the
 // client from three sources: its own FrameTrace, the (simulated or
 // measured) link timing, and the server span block echoed back on a
-// LocationResponse v3. Rendered by obs::to_chrome_trace (export.hpp) as
+// traced LocationResponse. Rendered by obs::to_chrome_trace (export.hpp) as
 // client/link/server lanes loadable in Perfetto or chrome://tracing.
 
 /// One span inside a stitched lane. Times are milliseconds relative to

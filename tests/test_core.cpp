@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <barrier>
 #include <filesystem>
+#include <fstream>
 #include <latch>
 #include <thread>
 
@@ -219,33 +220,6 @@ TEST(Server, OracleSnapshotInstallsOnClient) {
   EXPECT_GE(client.oracle()->count(f.descriptor), 4u);
 }
 
-TEST(Server, OracleDiffRefreshFlow) {
-  // First launch: full download. Later: the server ingests more content
-  // and ships only an XOR diff; the refreshed client must score the new
-  // content exactly like a fresh full download would.
-  VisualPrintServer server(small_server());
-  Rng rng(21);
-  const Feature early = make_feature(rng);
-  for (int i = 0; i < 5; ++i) server.ingest(early, {0, 0, 0}, 0, 0);
-
-  VisualPrintClient client({});
-  client.install_oracle(server.oracle_snapshot());
-  const Bytes base_blob = client.oracle_blob();
-
-  const Feature late = make_feature(rng);
-  for (int i = 0; i < 7; ++i) server.ingest(late, {1, 0, 0}, 0, 0);
-  EXPECT_EQ(client.oracle()->count(late.descriptor), 0u);  // stale copy
-
-  const OracleDiff diff = server.oracle_diff_from(base_blob);
-  client.apply_oracle_diff(diff);
-  EXPECT_GE(client.oracle()->count(late.descriptor), 6u);
-  EXPECT_GE(client.oracle()->count(early.descriptor), 4u);
-
-  // The diff should be cheaper than a fresh full download.
-  EXPECT_LT(diff.compressed_xor.size(),
-            server.oracle_snapshot().compressed.size() + 1024);
-}
-
 TEST(Server, SaveLoadRoundtrip) {
   namespace fs = std::filesystem;
   ServerConfig cfg = small_server();
@@ -289,12 +263,6 @@ TEST(Server, LoadRejectsCorruptFile) {
   blob[1] ^= 0xFF;
   blob.resize(blob.size() / 2);
   EXPECT_THROW(VisualPrintServer::deserialize(blob), DecodeError);
-}
-
-TEST(Client, DiffWithoutOracleThrows) {
-  VisualPrintClient client({});
-  OracleDiff diff;
-  EXPECT_THROW(client.apply_oracle_diff(diff), InvalidArgument);
 }
 
 // --- MapStore: the sharded, snapshot-isolated server core ------------------
@@ -701,6 +669,9 @@ TEST(MapStore, SaveLoadRoundtripMultiPlace) {
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(a->stored.size(), 12u);
   EXPECT_EQ(b->stored.size(), 10u);
+  // Exact-mode shards stay exact, with PQ disabled in their restored config.
+  EXPECT_EQ(loaded.store().storage_mode("wing-a"), "exact");
+  EXPECT_FALSE(a->config.index.pq.enabled);
   // Publish epochs survive the round-trip: clients holding pre-save
   // oracles are still told the truth about staleness.
   EXPECT_EQ(a->epoch, 1u);
@@ -736,59 +707,6 @@ TEST(MapStore, LoadShardsMergesDatabases) {
   EXPECT_EQ(merged.store().snapshot("wing-b")->stored.size(), 9u);
 }
 
-TEST(MapStore, V1DatabaseLoadsAsDefaultShard) {
-  // Hand-assemble a pre-shard v1 file: single place, oracle before
-  // keypoints, fine-grained oracle version at the tail.
-  Rng rng(57);
-  UniquenessOracle oracle(small_oracle());
-  std::vector<Feature> feats;
-  for (int i = 0; i < 4; ++i) {
-    feats.push_back(make_feature(rng));
-    oracle.insert(feats.back().descriptor);
-  }
-
-  ByteWriter w;
-  w.u32(0x56504442u);  // "VPDB"
-  w.u16(1);
-  w.str("legacy hall");
-  LshIndexConfig index_cfg;
-  w.u16(static_cast<std::uint16_t>(index_cfg.lsh.tables));
-  w.u16(static_cast<std::uint16_t>(index_cfg.lsh.projections));
-  w.f64(index_cfg.lsh.width);
-  w.u64(index_cfg.lsh.seed);
-  w.u8(index_cfg.multiprobe ? 1 : 0);
-  w.u32(static_cast<std::uint32_t>(index_cfg.max_candidates));
-  w.u32(2);       // neighbors_per_keypoint
-  w.u32(65'000);  // max_match_distance2
-  w.blob(zlib_compress(oracle.serialize(), 6));
-  w.u32(static_cast<std::uint32_t>(feats.size()));
-  for (std::size_t i = 0; i < feats.size(); ++i) {
-    const Descriptor& d = feats[i].descriptor;
-    w.raw(std::span<const std::uint8_t>(d.data(), d.size()));
-    w.f64(1.0 * static_cast<double>(i));
-    w.f64(2.0);
-    w.f64(0.5);
-    w.i32(static_cast<std::int32_t>(i % 2));
-    w.u32(3);
-  }
-  w.u32(4);  // oracle_version
-
-  VisualPrintServer loaded = VisualPrintServer::deserialize(w.bytes());
-  EXPECT_EQ(loaded.store().default_place(), "legacy hall");
-  EXPECT_EQ(loaded.keypoint_count(), 4u);
-  EXPECT_EQ(loaded.scene_count(), 2);
-  EXPECT_EQ(loaded.store().epoch("legacy hall"), 1u);
-  for (const auto& f : feats) {
-    EXPECT_EQ(loaded.oracle().count(f.descriptor),
-              oracle.count(f.descriptor));
-  }
-  // A v1 payload saved again comes back as v2 with identical content.
-  const Bytes resaved = loaded.serialize();
-  VisualPrintServer again = VisualPrintServer::deserialize(resaved);
-  EXPECT_EQ(again.keypoint_count(), 4u);
-  EXPECT_DOUBLE_EQ(again.stored(1).position.x, 1.0);
-}
-
 TEST(MapStore, TruncatedShardBlobRejected) {
   VisualPrintServer server(small_server());
   Rng rng(58);
@@ -822,68 +740,6 @@ ServerConfig pq_server() {
   cfg.index.pq.enabled = true;
   cfg.index.pq.rerank_depth = 8;
   return cfg;
-}
-
-TEST(MapStore, V2DatabaseLoadsWithoutPqFields) {
-  // Hand-assemble a pre-PQ v2 file: multi-shard header, but the index
-  // config stops at max_match_distance2 and no compact-descriptor
-  // section follows the keypoints. Bytes written by the v2 code must
-  // keep loading verbatim after the v3 format change.
-  Rng rng(60);
-  UniquenessOracle oracle(small_oracle());
-  std::vector<Feature> feats;
-  for (int i = 0; i < 5; ++i) {
-    feats.push_back(make_feature(rng));
-    oracle.insert(feats.back().descriptor);
-  }
-
-  ByteWriter shard;
-  shard.str("old wing");
-  shard.str("old wing");
-  LshIndexConfig index_cfg;
-  shard.u16(static_cast<std::uint16_t>(index_cfg.lsh.tables));
-  shard.u16(static_cast<std::uint16_t>(index_cfg.lsh.projections));
-  shard.f64(index_cfg.lsh.width);
-  shard.u64(index_cfg.lsh.seed);
-  shard.u8(index_cfg.multiprobe ? 1 : 0);
-  shard.u32(static_cast<std::uint32_t>(index_cfg.max_candidates));
-  shard.u32(2);       // neighbors_per_keypoint
-  shard.u32(65'000);  // max_match_distance2
-  shard.u32(3);       // epoch
-  shard.u32(5);       // oracle_version
-  shard.blob(zlib_compress(oracle.serialize(), 6));
-  shard.u32(static_cast<std::uint32_t>(feats.size()));
-  for (std::size_t i = 0; i < feats.size(); ++i) {
-    const Descriptor& d = feats[i].descriptor;
-    shard.raw(std::span<const std::uint8_t>(d.data(), d.size()));
-    shard.f64(1.0 * static_cast<double>(i));
-    shard.f64(2.0);
-    shard.f64(0.5);
-    shard.i32(static_cast<std::int32_t>(i % 2));
-    shard.u32(3);
-  }
-
-  ByteWriter w;
-  w.u32(0x56504442u);  // "VPDB"
-  w.u16(2);
-  w.str("old wing");
-  w.u32(1);
-  w.blob(shard.bytes());
-
-  VisualPrintServer loaded = VisualPrintServer::deserialize(w.bytes());
-  EXPECT_EQ(loaded.store().default_place(), "old wing");
-  EXPECT_EQ(loaded.keypoint_count(), 5u);
-  EXPECT_EQ(loaded.store().epoch("old wing"), 3u);
-  // A v2 file knows nothing of PQ: the shard loads in exact mode with
-  // the default (disabled) PQ config.
-  EXPECT_EQ(loaded.store().storage_mode("old wing"), "exact");
-  const auto shard_snap = loaded.store().snapshot("old wing");
-  ASSERT_NE(shard_snap, nullptr);
-  EXPECT_FALSE(shard_snap->config.index.pq.enabled);
-  // Resaving upgrades to v3 without changing content.
-  VisualPrintServer again = VisualPrintServer::deserialize(loaded.serialize());
-  EXPECT_EQ(again.keypoint_count(), 5u);
-  EXPECT_DOUBLE_EQ(again.stored(2).position.x, 2.0);
 }
 
 TEST(MapStore, PqShardSaveLoadRoundtripStaysQueryReady) {
@@ -942,57 +798,92 @@ TEST(MapStore, PqDatabaseTruncationRejected) {
   }
 }
 
-/// A complete v3 single-shard database with an arbitrary PQ section:
-/// `codebook_raw` and `codes_raw` are zlib'd into the shard verbatim, so
-/// callers can write deliberately wrong sizes.
-Bytes v3_db_with_pq_section(std::span<const Feature> feats,
+/// A complete single-shard v4 database ("gallery", PQ mode) written field
+/// by field: `codebook_raw` is zlib'd into the shard record and
+/// `codes_raw` becomes the codes segment verbatim, so callers can write
+/// deliberately wrong sizes. Segment checksums are correct.
+Bytes v4_db_with_pq_section(std::span<const Feature> feats,
                             const UniquenessOracle& oracle,
                             std::span<const std::uint8_t> codebook_raw,
                             std::span<const std::uint8_t> codes_raw) {
-  ByteWriter shard;
-  shard.str("gallery");
-  shard.str("gallery");
+  const auto n = static_cast<std::uint32_t>(feats.size());
+  ByteWriter meta;
+  meta.str("gallery");  // place label
   LshIndexConfig index_cfg;
-  shard.u16(static_cast<std::uint16_t>(index_cfg.lsh.tables));
-  shard.u16(static_cast<std::uint16_t>(index_cfg.lsh.projections));
-  shard.f64(index_cfg.lsh.width);
-  shard.u64(index_cfg.lsh.seed);
-  shard.u8(0);
-  shard.u32(static_cast<std::uint32_t>(index_cfg.max_candidates));
-  shard.u32(2);       // neighbors_per_keypoint
-  shard.u32(65'000);  // max_match_distance2
-  shard.u8(1);        // pq.enabled
-  shard.u32(8);       // pq.rerank_depth
-  shard.u32(8);       // pq.train.iterations
-  shard.u32(2048);    // pq.train.max_samples
-  shard.u64(1);       // pq.train.seed
-  shard.u32(1);       // epoch
-  shard.u32(static_cast<std::uint32_t>(feats.size()));  // oracle_version
-  shard.blob(zlib_compress(oracle.serialize(), 6));
-  shard.u32(static_cast<std::uint32_t>(feats.size()));
-  for (const Feature& f : feats) {
-    shard.raw(std::span<const std::uint8_t>(f.descriptor.data(),
-                                            f.descriptor.size()));
-    shard.f64(0.0);
-    shard.f64(0.0);
-    shard.f64(0.0);
-    shard.i32(-1);
-    shard.u32(0);
-  }
-  shard.u8(1);  // has_pq
-  shard.blob(zlib_compress(codebook_raw, 6));
-  shard.blob(zlib_compress(codes_raw, 6));
+  meta.u16(static_cast<std::uint16_t>(index_cfg.lsh.tables));
+  meta.u16(static_cast<std::uint16_t>(index_cfg.lsh.projections));
+  meta.f64(index_cfg.lsh.width);
+  meta.u64(index_cfg.lsh.seed);
+  meta.u8(0);  // multiprobe
+  meta.u32(static_cast<std::uint32_t>(index_cfg.max_candidates));
+  meta.u32(2);       // neighbors_per_keypoint
+  meta.u32(65'000);  // max_match_distance2
+  meta.u8(1);        // pq.enabled
+  meta.u32(8);       // pq.rerank_depth
+  meta.u32(8);       // pq.train.iterations
+  meta.u32(2048);    // pq.train.max_samples
+  meta.u64(1);       // pq.train.seed
+  meta.u32(1);       // epoch
+  meta.u32(n);       // oracle_version
+  meta.u32(n);       // keypoint count
+  meta.u8(1);        // has_pq
 
-  ByteWriter w;
-  w.u32(0x56504442u);  // "VPDB"
-  w.u16(3);
-  w.str("gallery");
-  w.u32(1);
-  w.blob(shard.bytes());
-  return w.take();
+  ByteWriter descriptors, keypoints;
+  for (const Feature& f : feats) {
+    descriptors.raw(std::span<const std::uint8_t>(f.descriptor.data(),
+                                                  f.descriptor.size()));
+    keypoints.f64(0.0);
+    keypoints.f64(0.0);
+    keypoints.f64(0.0);
+    keypoints.i32(-1);  // scene_id
+    keypoints.u32(0);   // source_id
+  }
+  const std::span<const std::uint8_t> segments[3] = {
+      descriptors.bytes(), keypoints.bytes(), codes_raw};
+
+  // The header's fields are fixed-width, so it can be sized with
+  // placeholder offsets first; segments then follow at 4096-byte
+  // boundaries.
+  std::uint64_t offsets[3] = {0, 0, 0};
+  const auto header = [&](std::uint64_t file_size) {
+    ByteWriter rec;
+    rec.str("gallery");
+    rec.blob(zlib_compress(meta.bytes(), 6));
+    rec.blob(zlib_compress(oracle.serialize(), 6));
+    rec.blob(zlib_compress(codebook_raw, 6));
+    rec.u8(3);
+    for (std::uint8_t kind = 0; kind < 3; ++kind) {
+      rec.u8(kind);
+      rec.u64(offsets[kind]);
+      rec.u64(segments[kind].size());
+      rec.u32(crc32_of(segments[kind]));
+    }
+    ByteWriter w;
+    w.u32(0x56504442u);  // "VPDB"
+    w.u16(4);
+    w.u64(file_size);
+    w.str("gallery");  // default place
+    w.u32(1);          // shard count
+    w.blob(rec.bytes());
+    return w.take();
+  };
+  std::size_t cursor = header(0).size();
+  for (int k = 0; k < 3; ++k) {
+    cursor = (cursor + 4095) & ~std::size_t{4095};
+    offsets[k] = cursor;
+    cursor += segments[k].size();
+  }
+  Bytes out = header(cursor);
+  out.resize(cursor, 0);
+  for (int k = 0; k < 3; ++k) {
+    std::copy(segments[k].begin(), segments[k].end(),
+              out.begin() + static_cast<std::ptrdiff_t>(offsets[k]));
+  }
+  return out;
 }
 
 TEST(MapStore, CorruptPqSectionRejectedNotHalfLoaded) {
+  namespace fs = std::filesystem;
   Rng rng(63);
   UniquenessOracle oracle(small_oracle());
   std::vector<Feature> feats;
@@ -1012,24 +903,41 @@ TEST(MapStore, CorruptPqSectionRejectedNotHalfLoaded) {
                 codes.data() + i * kPqCodeBytes);
   }
   const Bytes good =
-      v3_db_with_pq_section(feats, oracle, book.raw(), codes);
+      v4_db_with_pq_section(feats, oracle, book.raw(), codes);
   VisualPrintServer loaded = VisualPrintServer::deserialize(good);
   EXPECT_EQ(loaded.store().storage_mode("gallery"), "pq");
+  EXPECT_EQ(loaded.store().snapshot("gallery")->stored.size(), feats.size());
 
-  // A codebook blob that inflates fine but has the wrong size is rejected
-  // (zlib checksums cannot catch a substituted payload; the size check
-  // must).
+  // A codebook blob that inflates fine but has the wrong size (zlib
+  // checksums cannot catch a substituted payload; the size check must),
+  // and a codes segment with a correct crc32 that covers n-1 descriptors.
   const std::vector<std::uint8_t> short_book(100, 7);
-  EXPECT_THROW(VisualPrintServer::deserialize(v3_db_with_pq_section(
-                   feats, oracle, short_book, codes)),
-               DecodeError);
-
-  // Codes that cover the wrong number of descriptors are rejected.
   const std::vector<std::uint8_t> short_codes((feats.size() - 1) *
                                               kPqCodeBytes);
-  EXPECT_THROW(VisualPrintServer::deserialize(v3_db_with_pq_section(
-                   feats, oracle, book.raw(), short_codes)),
-               DecodeError);
+  const Bytes bad[2] = {
+      v4_db_with_pq_section(feats, oracle, short_book, codes),
+      v4_db_with_pq_section(feats, oracle, book.raw(), short_codes)};
+  const auto path =
+      (fs::temp_directory_path() /
+       ("vp_corrupt_pq_" + std::to_string(::getpid()) + ".db"))
+          .string();
+  for (const Bytes& blob : bad) {
+    EXPECT_THROW(VisualPrintServer::deserialize(blob), DecodeError);
+    // Merging the bad file into a live server throws and installs nothing.
+    VisualPrintServer server(small_server());
+    server.ingest_wardrive("hall", random_mappings(rng, 4, {0, 0, 0}));
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f.write(reinterpret_cast<const char*>(blob.data()),
+              static_cast<std::streamsize>(blob.size()));
+    }
+    EXPECT_THROW(server.load_shards(path), DecodeError);
+    EXPECT_EQ(server.store().snapshot("gallery"), nullptr);
+    const auto places = server.places();
+    EXPECT_EQ(std::find(places.begin(), places.end(), "gallery"),
+              places.end());
+  }
+  fs::remove(path);
 }
 
 TEST(MapStore, StorageModeReportsPerPlace) {
@@ -1113,7 +1021,7 @@ TEST(MapStoreSoak, IngestWhileServingIsRaceFree) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire-level trace propagation through the server handler (v3) and the
+// Wire-level trace propagation through the server handler and the
 // slow-query log it feeds.
 
 Bytes framed_query(const FingerprintQuery& q) {
@@ -1166,9 +1074,9 @@ TEST(MapStore, UntracedQueryAnswersByteCompatibleV2) {
 
   const Bytes reply = server.handle_request(framed_query(q), 7);
   ASSERT_FALSE(is_error_frame(reply));
-  // A pre-trace client must see exactly what it always saw: a v2 frame
-  // with no trailing trace fields.
-  EXPECT_EQ(reply[4] | (reply[5] << 8), 2);
+  // An untraced query gets a reply with the traced flag clear (the flags
+  // byte follows magic + version) and no trailing trace fields.
+  EXPECT_EQ(reply[6], 0);
   const LocationResponse resp = LocationResponse::decode(reply);
   EXPECT_EQ(resp.trace_id, 0u);
   EXPECT_TRUE(resp.server_spans.empty());

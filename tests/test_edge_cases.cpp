@@ -140,19 +140,6 @@ TEST(EdgeWire, EmptyFramePayload) {
   EXPECT_TRUE(back.payload.empty());
 }
 
-TEST(EdgeWire, OracleDiffAgainstEmptyOld) {
-  const Bytes new_blob{9, 8, 7};
-  const OracleDiff d = OracleDiff::make({}, new_blob, 0, 1);
-  EXPECT_EQ(d.apply({}), new_blob);
-}
-
-TEST(EdgeWire, OracleDiffShrinkingBlob) {
-  const Bytes old_blob{1, 2, 3, 4, 5, 6};
-  const Bytes new_blob{1, 2};
-  const OracleDiff d = OracleDiff::make(old_blob, new_blob, 1, 2);
-  EXPECT_EQ(d.apply(old_blob), new_blob);
-}
-
 TEST(EdgeCodec, OneByteImage) {
   ImageU8 img(1, 1, 1, 137);
   EXPECT_EQ(png_decode(png_encode(img)), img);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "imaging/codec.hpp"
 #include "net/link.hpp"
 #include "net/wire.hpp"
@@ -24,7 +26,7 @@ FingerprintQuery sample_query(std::size_t n_features) {
   return q;
 }
 
-/// A v4 compact query: arbitrary code bytes (wire tests need no trained
+/// A compact query: arbitrary code bytes (wire tests need no trained
 /// codebook), quarter-pixel-friendly coordinates, and a codebook epoch.
 FingerprintQuery sample_compact_query(std::size_t n_features) {
   FingerprintQuery q = sample_query(n_features);
@@ -41,6 +43,12 @@ FingerprintQuery sample_compact_query(std::size_t n_features) {
   }
   return q;
 }
+
+/// Every message encodes at one version; the flagged messages follow the
+/// u16 (little-endian, at offset 4) with their flags byte at offset 6.
+constexpr int kWireVersion = 5;
+
+int wire_version(std::span<const std::uint8_t> b) { return b[4] | (b[5] << 8); }
 
 TEST(Wire, FingerprintQueryRoundtrip) {
   const FingerprintQuery q = sample_query(5);
@@ -69,24 +77,6 @@ TEST(Wire, FingerprintQueryCarriesPlaceAndEpoch) {
   ASSERT_EQ(back.features.size(), 2u);
 }
 
-TEST(Wire, FingerprintQueryV1FrameDecodes) {
-  // Pre-shard v1 frame: no place/epoch fields; both must default.
-  ByteWriter w;
-  w.u32(0x56505121u);  // "VPQ!"
-  w.u16(1);
-  w.u32(7);    // frame_id
-  w.f64(1.0);  // capture_time
-  w.u16(920);
-  w.u16(540);
-  w.f32(1.1f);
-  w.u32(0);  // feature count
-  const FingerprintQuery back = FingerprintQuery::decode(w.bytes());
-  EXPECT_EQ(back.frame_id, 7u);
-  EXPECT_TRUE(back.place.empty());
-  EXPECT_EQ(back.oracle_epoch, 0u);
-  EXPECT_TRUE(back.features.empty());
-}
-
 TEST(Wire, FingerprintQueryV3TraceRoundtrip) {
   FingerprintQuery q = sample_query(3);
   q.place = "atrium";
@@ -104,15 +94,16 @@ TEST(Wire, FingerprintQueryV3TraceRoundtrip) {
 }
 
 TEST(Wire, UntracedQueryEncodesAsV2) {
-  // trace_id == 0 must encode byte-identically to a pre-trace client: the
-  // version stays 2 and no trailing trace fields appear, so traced and
-  // untraced peers interoperate without negotiation.
+  // trace_id == 0 clears the traced flag and no trailing trace fields
+  // appear; traced and untraced queries share one version.
   FingerprintQuery q = sample_query(2);
   const Bytes untraced = q.encode();
-  EXPECT_EQ(untraced[4] | (untraced[5] << 8), 2);  // version u16, LE
+  EXPECT_EQ(wire_version(untraced), kWireVersion);
+  EXPECT_EQ(untraced[6], 0x00);  // flags: raw, untraced
   q.trace_id = 77;
   const Bytes traced = q.encode();
-  EXPECT_EQ(traced[4] | (traced[5] << 8), 3);
+  EXPECT_EQ(wire_version(traced), kWireVersion);
+  EXPECT_EQ(traced[6], 0x01);  // flags: traced
   EXPECT_EQ(traced.size(), untraced.size() + 8 + 1);  // id + flags
   const FingerprintQuery back = FingerprintQuery::decode(untraced);
   EXPECT_EQ(back.trace_id, 0u);
@@ -120,8 +111,9 @@ TEST(Wire, UntracedQueryEncodesAsV2) {
 }
 
 TEST(Wire, QueryV3RejectsZeroTraceId) {
-  // A frame claiming v3 but carrying trace_id 0 violates the encode
-  // invariant (0 would silently downgrade on re-encode) and is rejected.
+  // A frame flagged traced but carrying trace_id 0 violates the encode
+  // invariant (0 would silently drop the tail on re-encode) and is
+  // rejected.
   FingerprintQuery q = sample_query(1);
   q.trace_id = 1;
   Bytes b = q.encode();
@@ -133,9 +125,11 @@ TEST(Wire, CompactQueryRoundtrip) {
   FingerprintQuery q = sample_compact_query(5);
   const Bytes b = q.encode();
   EXPECT_EQ(b.size(), q.wire_size());
-  EXPECT_EQ(b[4] | (b[5] << 8), 4);  // version u16, LE
+  EXPECT_EQ(wire_version(b), kWireVersion);
+  EXPECT_EQ(b[6], 0x02);  // flags: compact, untraced
   const FingerprintQuery back = FingerprintQuery::decode(b);
   EXPECT_TRUE(back.compact());
+  EXPECT_EQ(back.trace_id, 0u);
   EXPECT_EQ(back.place, "atrium");
   EXPECT_EQ(back.oracle_epoch, 2u);
   EXPECT_EQ(back.codebook_epoch, 2u);
@@ -155,7 +149,9 @@ TEST(Wire, CompactQueryCarriesTrace) {
   q.trace_id = 0xABCDEF01ull;
   q.trace_flags = 0x01;
   const Bytes b = q.encode();
-  EXPECT_EQ(b[4] | (b[5] << 8), 4);  // compact subsumes the trace version
+  EXPECT_EQ(wire_version(b), kWireVersion);
+  EXPECT_EQ(b[6], 0x03);  // flags: compact + traced
+  EXPECT_EQ(b.size(), q.wire_size());
   const FingerprintQuery back = FingerprintQuery::decode(b);
   EXPECT_EQ(back.trace_id, 0xABCDEF01ull);
   EXPECT_EQ(back.trace_flags, 0x01);
@@ -181,13 +177,13 @@ TEST(Wire, CompactQueryShrinksFeaturePayloadSixfold) {
 }
 
 TEST(Wire, CompactQueryRejectsZeroCodebookEpoch) {
-  // v4 with codebook_epoch 0 violates the encode invariant (0 means "no
-  // codebook", which encodes as raw) — a frame claiming otherwise lies.
+  // A compact frame with codebook_epoch 0 violates the encode invariant
+  // (0 means "no codebook", which encodes as raw) — such a frame lies.
   FingerprintQuery q = sample_compact_query(1);
   Bytes b = q.encode();
-  // codebook_epoch sits after magic(4)+ver(2)+frame(4)+time(8)+w(2)+h(2)+
-  // fov(4)+place str(4+6)+oracle_epoch(4).
-  const std::size_t epoch_off = 4 + 2 + 4 + 8 + 2 + 2 + 4 + 4 + 6 + 4;
+  // codebook_epoch sits after magic(4)+ver(2)+flags(1)+frame(4)+time(8)+
+  // w(2)+h(2)+fov(4)+place str(4+6)+oracle_epoch(4).
+  const std::size_t epoch_off = 4 + 2 + 1 + 4 + 8 + 2 + 2 + 4 + 4 + 6 + 4;
   for (std::size_t i = 0; i < 4; ++i) b[epoch_off + i] = 0;
   EXPECT_THROW(FingerprintQuery::decode(b), DecodeError);
 }
@@ -197,7 +193,7 @@ TEST(Wire, CompactQueryRejectsCodeCountLies) {
   // throw before any allocation sized by the count.
   FingerprintQuery q = sample_compact_query(3);
   Bytes b = q.encode();
-  const std::size_t count_off = 4 + 2 + 4 + 8 + 2 + 2 + 4 + 4 + 6 + 4 + 4;
+  const std::size_t count_off = 4 + 2 + 1 + 4 + 8 + 2 + 2 + 4 + 4 + 6 + 4 + 4;
   for (std::size_t i = 0; i < 4; ++i) b[count_off + i] = 0xFF;
   EXPECT_THROW(FingerprintQuery::decode(b), DecodeError);
 }
@@ -294,11 +290,13 @@ TEST(Wire, LocationResponseV3SpanBlockRoundtrip) {
 TEST(Wire, UntracedLocationResponseEncodesAsV2) {
   LocationResponse r;
   r.place = "atrium";
-  // Spans without a trace id have no correlation key; the frame encodes
-  // as v2 and the block is dropped rather than sent unattributable.
+  // Spans without a trace id have no correlation key; the traced flag
+  // stays clear and the block is dropped rather than sent unattributable.
   r.server_spans = {{"orphan", -1, 0.0f, 1.0f}};
   const Bytes b = r.encode();
-  EXPECT_EQ(b[4] | (b[5] << 8), 2);  // version u16, LE
+  EXPECT_EQ(wire_version(b), kWireVersion);
+  EXPECT_EQ(b[6], 0x00);  // flags: untraced
+  EXPECT_EQ(traced_response().encode()[6], 0x01);
   const LocationResponse back = LocationResponse::decode(b);
   EXPECT_EQ(back.trace_id, 0u);
   EXPECT_TRUE(back.server_spans.empty());
@@ -350,23 +348,6 @@ TEST(Wire, OracleDownloadRoundtrip) {
   EXPECT_EQ(restored.count(d), oracle.count(d));
 }
 
-TEST(Wire, OracleDownloadV1FrameDecodes) {
-  // Pre-shard v1 frame: no place field, the old `version` counter reads
-  // as the epoch.
-  OracleConfig cfg;
-  cfg.capacity = 2'000;
-  UniquenessOracle oracle(cfg);
-  ByteWriter w;
-  w.u32(0x56504f21u);  // "VPO!"
-  w.u16(1);
-  w.u32(7);
-  w.blob(zlib_compress(oracle.serialize(), 9));
-  const OracleDownload back = OracleDownload::decode(w.bytes());
-  EXPECT_EQ(back.epoch, 7u);
-  EXPECT_TRUE(back.place.empty());
-  EXPECT_EQ(back.unpack().byte_size(), oracle.byte_size());
-}
-
 TEST(Wire, OracleDownloadCodebookRoundtrip) {
   OracleConfig cfg;
   cfg.capacity = 2'000;
@@ -378,19 +359,20 @@ TEST(Wire, OracleDownloadCodebookRoundtrip) {
   const OracleDownload down =
       OracleDownload::pack(oracle, 4, "atrium", codebook);
   const Bytes wire = down.encode();
-  EXPECT_EQ(wire[4] | (wire[5] << 8), 3);  // codebook promotes to v3
+  EXPECT_EQ(wire_version(wire), kWireVersion);
+  EXPECT_EQ(wire[6], 0x01);  // flags: codebook
   const OracleDownload back = OracleDownload::decode(wire);
   EXPECT_EQ(back.epoch, 4u);
   EXPECT_EQ(back.place, "atrium");
   EXPECT_EQ(back.codebook, codebook);
 
-  // Without a codebook the frame stays byte-identical v2, so pre-compact
-  // clients keep decoding downloads unmodified.
+  // Without a codebook the flag is clear and no codebook blob follows.
   const Bytes plain = OracleDownload::pack(oracle, 4, "atrium").encode();
-  EXPECT_EQ(plain[4] | (plain[5] << 8), 2);
+  EXPECT_EQ(wire_version(plain), kWireVersion);
+  EXPECT_EQ(plain[6], 0x00);
   EXPECT_TRUE(OracleDownload::decode(plain).codebook.empty());
 
-  // A v3 frame whose codebook is not exactly kPqCodebookBytes is rejected
+  // A flagged frame whose codebook is not exactly kPqCodebookBytes is rejected
   // even when the blob length field tells the truth about the short blob
   // (the codebook is the last field; shrink both consistently).
   Bytes bad = wire;
@@ -417,37 +399,6 @@ TEST(Wire, OracleDownloadCompresses) {
   UniquenessOracle oracle(cfg);  // nearly empty -> very compressible
   const OracleDownload down = OracleDownload::pack(oracle, 1);
   EXPECT_LT(down.compressed.size(), oracle.serialize().size() / 20);
-}
-
-TEST(Wire, OracleDiffReconstructs) {
-  OracleConfig cfg;
-  cfg.capacity = 10'000;
-  UniquenessOracle oracle(cfg);
-  Rng rng(2);
-  Descriptor d1, d2;
-  for (auto& v : d1) v = static_cast<std::uint8_t>(rng.uniform_u64(60));
-  for (auto& v : d2) v = static_cast<std::uint8_t>(rng.uniform_u64(60));
-
-  oracle.insert(d1);
-  const Bytes v1 = oracle.serialize();
-  oracle.insert(d2);
-  const Bytes v2 = oracle.serialize();
-
-  const OracleDiff diff = OracleDiff::make(v1, v2, 1, 2);
-  const Bytes rebuilt = diff.apply(v1);
-  EXPECT_EQ(rebuilt, v2);
-  // Diff should be much smaller than the full new snapshot compressed.
-  EXPECT_LT(diff.compressed_xor.size(), zlib_compress(v2, 9).size() + 128);
-}
-
-TEST(Wire, OracleDiffEncodeRoundtrip) {
-  const Bytes old_blob{1, 2, 3, 4};
-  const Bytes new_blob{1, 9, 3, 4, 5};
-  const OracleDiff d = OracleDiff::make(old_blob, new_blob, 3, 4);
-  const OracleDiff back = OracleDiff::decode(d.encode());
-  EXPECT_EQ(back.from_version, 3u);
-  EXPECT_EQ(back.to_version, 4u);
-  EXPECT_EQ(back.apply(old_blob), new_blob);
 }
 
 TEST(Wire, StatsRequestSlowLogFormatRoundtrips) {
@@ -506,13 +457,96 @@ TEST(Wire, IsErrorFrameOnlyMatchesTheErrorMagic) {
   EXPECT_TRUE(is_error_frame(ErrorResponse{}.encode()));
 }
 
+TEST(Wire, EveryMessageEncodesAtOneVersion) {
+  OracleConfig cfg;
+  cfg.capacity = 2'000;
+  const std::vector<Bytes> frames = {
+      sample_query(1).encode(),
+      sample_compact_query(1).encode(),
+      FrameUpload{}.encode(),
+      LocationResponse{}.encode(),
+      OracleDownload::pack(UniquenessOracle(cfg), 1).encode(),
+      OracleRequest{}.encode(),
+      ErrorResponse{}.encode(),
+      StatsRequest{}.encode(),
+      StatsResponse{}.encode(),
+  };
+  for (const Bytes& b : frames) EXPECT_EQ(wire_version(b), kWireVersion);
+}
+
+// Frames in the retired layouts (hand-built byte for byte as their old
+// encoders wrote them) must be rejected as unsupported, never misread.
+
+TEST(Wire, LegacyV2RawQueryRejected) {
+  ByteWriter w;
+  w.u32(0x56505121u);  // "VPQ!"
+  w.u16(2);
+  w.u32(7);    // frame_id
+  w.f64(1.0);  // capture_time
+  w.u16(920);
+  w.u16(540);
+  w.f32(1.1f);
+  w.str("atrium");
+  w.u32(3);  // oracle_epoch
+  w.u32(0);  // feature count
+  EXPECT_THROW(FingerprintQuery::decode(w.bytes()), DecodeError);
+}
+
+TEST(Wire, LegacyV3TracedReplyRejected) {
+  ByteWriter w;
+  w.u32(0x56504c21u);  // "VPL!"
+  w.u16(3);
+  w.u32(12);  // frame_id
+  w.u8(1);    // found
+  for (int i = 0; i < 7; ++i) w.f64(0.5);  // position, yaw/pitch/roll, residual
+  w.u32(40);  // matched_keypoints
+  w.str("Demo Gallery");
+  w.str("atrium");
+  w.u64(0xABCDull);  // trace_id
+  w.u8(0);           // span count
+  EXPECT_THROW(LocationResponse::decode(w.bytes()), DecodeError);
+}
+
+TEST(Wire, LegacyV2OracleDownloadRejected) {
+  OracleConfig cfg;
+  cfg.capacity = 2'000;
+  ByteWriter w;
+  w.u32(0x56504f21u);  // "VPO!"
+  w.u16(2);
+  w.u32(4);  // epoch
+  w.str("atrium");
+  w.blob(zlib_compress(UniquenessOracle(cfg).serialize(), 9));
+  EXPECT_THROW(OracleDownload::decode(w.bytes()), DecodeError);
+}
+
+TEST(Wire, UnknownFlagBitsRejected) {
+  // The flags byte follows the header (offset 6). Each message defines a
+  // few low bits; any other bit is an unknown section and must throw.
+  const auto rejects_bit = [](Bytes b, std::uint8_t bit, auto decode) {
+    b[6] |= bit;
+    EXPECT_THROW(decode(b), DecodeError) << "bit " << int{bit};
+  };
+  const Bytes query = sample_query(2).encode();
+  const Bytes reply = traced_response().encode();
+  OracleConfig cfg;
+  cfg.capacity = 2'000;
+  const Bytes download = OracleDownload::pack(UniquenessOracle(cfg), 1).encode();
+  for (int shift = 0; shift < 8; ++shift) {
+    const auto bit = static_cast<std::uint8_t>(1u << shift);
+    if (shift >= 2) rejects_bit(query, bit, FingerprintQuery::decode);
+    if (shift >= 1) rejects_bit(reply, bit, LocationResponse::decode);
+    if (shift >= 1) rejects_bit(download, bit, OracleDownload::decode);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Decoder fuzz battery: every message type, attacked three ways. The
 // contract under attack is uniform: decode() either succeeds or throws
 // DecodeError — never crashes, never hangs, never allocates beyond the
 // bytes actually presented.
 
-/// One encoded specimen of every wire message type.
+/// One encoded specimen of every wire message type, and of every flag
+/// combination of the flagged ones.
 std::vector<std::pair<std::string, Bytes>> wire_specimens() {
   std::vector<std::pair<std::string, Bytes>> specimens;
   specimens.emplace_back("FingerprintQuery", sample_query(3).encode());
@@ -520,12 +554,18 @@ std::vector<std::pair<std::string, Bytes>> wire_specimens() {
   FingerprintQuery traced_q = sample_query(3);
   traced_q.trace_id = 0x1234ABCDull;
   traced_q.trace_flags = 0x01;
-  specimens.emplace_back("FingerprintQueryV3", traced_q.encode());
+  specimens.emplace_back("FingerprintQueryTraced", traced_q.encode());
 
-  specimens.emplace_back("FingerprintQueryV4",
+  specimens.emplace_back("FingerprintQueryCompact",
                          sample_compact_query(3).encode());
 
-  specimens.emplace_back("LocationResponseV3", traced_response().encode());
+  FingerprintQuery traced_compact = sample_compact_query(3);
+  traced_compact.trace_id = 0x5678ull;
+  traced_compact.trace_flags = 0x01;
+  specimens.emplace_back("FingerprintQueryCompactTraced",
+                         traced_compact.encode());
+
+  specimens.emplace_back("LocationResponseTraced", traced_response().encode());
 
   FrameUpload frame;
   frame.frame_id = 11;
@@ -554,13 +594,8 @@ std::vector<std::pair<std::string, Bytes>> wire_specimens() {
     codebook[i] = static_cast<std::uint8_t>(i * 13 + 1);
   }
   specimens.emplace_back(
-      "OracleDownloadV3",
+      "OracleDownloadCodebook",
       OracleDownload::pack(oracle, 3, "atrium", codebook).encode());
-
-  const Bytes old_blob{1, 2, 3, 4};
-  const Bytes new_blob{1, 9, 3, 4, 5};
-  specimens.emplace_back("OracleDiff",
-                         OracleDiff::make(old_blob, new_blob, 1, 2).encode());
 
   StatsRequest stats_req;
   stats_req.format = StatsRequest::kFormatPrometheus;
@@ -582,25 +617,26 @@ std::vector<std::pair<std::string, Bytes>> wire_specimens() {
   return specimens;
 }
 
-/// Decode dispatch by specimen name; throws whatever decode() throws.
+/// Decode dispatch by specimen name (the message type is the name's
+/// prefix); throws whatever decode() throws.
 void decode_specimen(const std::string& name,
                      std::span<const std::uint8_t> data) {
-  if (name == "FingerprintQuery" || name == "FingerprintQueryV3" ||
-      name == "FingerprintQueryV4") {
+  const auto is = [&name](std::string_view type) {
+    return name.starts_with(type);
+  };
+  if (is("FingerprintQuery")) {
     (void)FingerprintQuery::decode(data);
-  } else if (name == "FrameUpload") {
+  } else if (is("FrameUpload")) {
     (void)FrameUpload::decode(data);
-  } else if (name == "LocationResponse" || name == "LocationResponseV3") {
+  } else if (is("LocationResponse")) {
     (void)LocationResponse::decode(data);
-  } else if (name == "OracleDownload" || name == "OracleDownloadV3") {
+  } else if (is("OracleDownload")) {
     (void)OracleDownload::decode(data);
-  } else if (name == "OracleDiff") {
-    (void)OracleDiff::decode(data);
-  } else if (name == "OracleRequest") {
+  } else if (is("OracleRequest")) {
     (void)OracleRequest::decode(data);
-  } else if (name == "StatsRequest") {
+  } else if (is("StatsRequest")) {
     (void)StatsRequest::decode(data);
-  } else if (name == "StatsResponse") {
+  } else if (is("StatsResponse")) {
     (void)StatsResponse::decode(data);
   } else {
     (void)ErrorResponse::decode(data);
@@ -648,8 +684,9 @@ TEST(WireFuzz, LyingLengthFieldsThrowWithoutOverAllocating) {
   // Feature count claims 4 billion entries against a ~500-byte payload:
   // the count is validated against the remaining bytes before reserve().
   Bytes q = sample_query(2).encode();
-  // Header + empty place string (4) + oracle epoch (4) precede the count.
-  const std::size_t count_off = 4 + 2 + 4 + 8 + 2 + 2 + 4 + 4 + 4;
+  // Header + flags + empty place string (4) + oracle epoch (4) precede
+  // the count.
+  const std::size_t count_off = 4 + 2 + 1 + 4 + 8 + 2 + 2 + 4 + 4 + 4;
   q[count_off] = q[count_off + 1] = q[count_off + 2] = q[count_off + 3] = 0xFF;
   EXPECT_THROW(FingerprintQuery::decode(q), DecodeError);
 
@@ -669,12 +706,14 @@ TEST(WireFuzz, LyingLengthFieldsThrowWithoutOverAllocating) {
   for (std::size_t i = 0; i < 4; ++i) fb[payload_len_off + i] = 0xFF;
   EXPECT_THROW(FrameUpload::decode(fb), DecodeError);
 
-  // Blob length lie in an OracleDiff.
-  const OracleDiff diff = OracleDiff::make(Bytes{1}, Bytes{2}, 1, 2);
-  Bytes db = diff.encode();
-  const std::size_t xor_len_off = 4 + 2 + 4 + 4;
-  for (std::size_t i = 0; i < 4; ++i) db[xor_len_off + i] = 0xFF;
-  EXPECT_THROW(OracleDiff::decode(db), DecodeError);
+  // Blob length lie in an OracleDownload (the compressed oracle claims
+  // 4 GB; it follows header + flags + epoch + empty place string).
+  OracleConfig cfg;
+  cfg.capacity = 2000;
+  Bytes ob = OracleDownload::pack(UniquenessOracle(cfg), 1).encode();
+  const std::size_t oracle_len_off = 4 + 2 + 1 + 4 + 4;
+  for (std::size_t i = 0; i < 4; ++i) ob[oracle_len_off + i] = 0xFF;
+  EXPECT_THROW(OracleDownload::decode(ob), DecodeError);
 }
 
 TEST(WireFuzz, CorruptZlibStreamsThrowDecodeError) {

@@ -1,5 +1,5 @@
 // Parameterized sweeps over configuration spaces: SIFT detector settings,
-// camera geometries, link rates, ICP modes, and serialization pairs —
+// camera geometries, link rates, and ICP modes —
 // invariants that must hold at every point of each grid.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "geometry/camera.hpp"
 #include "geometry/icp.hpp"
 #include "net/link.hpp"
-#include "net/wire.hpp"
 #include "scene/texture.hpp"
 #include "slam/wardrive.hpp"
 #include "scene/environments.hpp"
@@ -150,34 +149,6 @@ TEST(IcpPlanar, NeverTiltsThePose) {
   EXPECT_NEAR(pitch, 0.0, 1e-9);
   EXPECT_NEAR(roll, 0.0, 1e-9);
 }
-
-// ---------------------------------------------------------------------------
-class DiffPairTest : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(DiffPairTest, OracleDiffReconstructsAnyPair) {
-  const auto [old_size, new_size] = GetParam();
-  Rng rng(41 + static_cast<std::uint64_t>(old_size * 31 + new_size));
-  Bytes old_blob(static_cast<std::size_t>(old_size));
-  Bytes new_blob(static_cast<std::size_t>(new_size));
-  for (auto& b : old_blob) b = static_cast<std::uint8_t>(rng.uniform_u64(256));
-  // New blob: mostly equal to old where they overlap (realistic refresh).
-  for (std::size_t i = 0; i < new_blob.size(); ++i) {
-    new_blob[i] = i < old_blob.size() && !rng.chance(0.05)
-                      ? old_blob[i]
-                      : static_cast<std::uint8_t>(rng.uniform_u64(256));
-  }
-  const OracleDiff diff = OracleDiff::make(old_blob, new_blob, 1, 2);
-  EXPECT_EQ(diff.apply(old_blob), new_blob);
-  // Encode/decode stability on top.
-  const OracleDiff back = OracleDiff::decode(diff.encode());
-  EXPECT_EQ(back.apply(old_blob), new_blob);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SizePairs, DiffPairTest,
-    ::testing::Values(std::pair{0, 100}, std::pair{100, 0},
-                      std::pair{100, 100}, std::pair{100, 500},
-                      std::pair{500, 100}, std::pair{4096, 4099}));
 
 // ---------------------------------------------------------------------------
 TEST(WardriveSweep, ForwardViewsPresent) {

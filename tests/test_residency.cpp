@@ -264,18 +264,13 @@ TEST(ResidencyFormat, FlippedSegmentChecksumRejected) {
   }
 }
 
-TEST(ResidencyFormat, LegacyV2DatabaseLoadsLazily) {
-  // Hand-assembled pre-PQ v2 bytes (the v2 writer's exact layout): lazy
-  // registration must manage old formats too — they just load by copy
-  // instead of mmap borrow.
+TEST(ResidencyFormat, LegacyV3DatabaseRejected) {
+  // Hand-assembled v3 bytes (the retired v3 writer's exact layout: one
+  // interleaved shard blob, no segment directory). Only v4 loads now;
+  // eager and lazy loads alike must reject the file as a bad version
+  // rather than misread it.
   Rng rng(60);
   UniquenessOracle oracle(small_oracle());
-  std::vector<Feature> feats;
-  for (int i = 0; i < 5; ++i) {
-    feats.push_back(make_feature(rng));
-    oracle.insert(feats.back().descriptor);
-  }
-
   ByteWriter shard;
   shard.str("old wing");
   shard.str("old wing");
@@ -288,8 +283,18 @@ TEST(ResidencyFormat, LegacyV2DatabaseLoadsLazily) {
   shard.u32(static_cast<std::uint32_t>(index_cfg.max_candidates));
   shard.u32(2);       // neighbors_per_keypoint
   shard.u32(65'000);  // max_match_distance2
+  shard.u8(0);        // pq.enabled
+  shard.u32(8);       // pq.rerank_depth
+  shard.u32(8);       // pq.train.iterations
+  shard.u32(2048);    // pq.train.max_samples
+  shard.u64(1);       // pq.train.seed
   shard.u32(3);       // epoch
   shard.u32(5);       // oracle_version
+  std::vector<Feature> feats;
+  for (int i = 0; i < 5; ++i) {
+    feats.push_back(make_feature(rng));
+    oracle.insert(feats.back().descriptor);
+  }
   shard.blob(zlib_compress(oracle.serialize(), 6));
   shard.u32(static_cast<std::uint32_t>(feats.size()));
   for (std::size_t i = 0; i < feats.size(); ++i) {
@@ -301,34 +306,31 @@ TEST(ResidencyFormat, LegacyV2DatabaseLoadsLazily) {
     shard.i32(static_cast<std::int32_t>(i % 2));
     shard.u32(3);
   }
+  shard.u8(0);  // has_pq
 
   ByteWriter w;
   w.u32(0x56504442u);  // "VPDB"
-  w.u16(2);
+  w.u16(3);
   w.str("old wing");
   w.u32(1);
   w.blob(shard.bytes());
 
-  const std::string path = temp_db_path("v2lazy");
+  const auto expect_bad_version = [](auto&& load) {
+    try {
+      load();
+      ADD_FAILURE() << "v3 database accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad version"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_bad_version([&] { (void)VisualPrintServer::deserialize(w.bytes()); });
+  const std::string path = temp_db_path("v3");
   write_bytes(path, w.bytes());
+  expect_bad_version([&] { (void)VisualPrintServer::load(path); });
   DbLoadOptions lazy;
   lazy.lazy = true;
-  VisualPrintServer server = VisualPrintServer::load(path, lazy);
-
-  // Manifest answers without loading: the registration peek skipped the
-  // oracle and keypoint payloads entirely.
-  EXPECT_EQ(server.store().default_place(), "old wing");
-  EXPECT_EQ(server.store().residency().stats().loads, 0u);
-  EXPECT_EQ(server.store().epoch("old wing"), 3u);
-  EXPECT_EQ(server.store().storage_mode("old wing"), "exact");
-  EXPECT_EQ(server.store().snapshot("old wing"), nullptr);
-
-  // First touch faults the shard in through the legacy parser.
-  const auto snap = server.store().fault_in("old wing");
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(snap->stored.size(), 5u);
-  EXPECT_DOUBLE_EQ(snap->stored[2].position.x, 2.0);
-  EXPECT_EQ(server.store().residency().stats().loads, 1u);
+  expect_bad_version([&] { (void)VisualPrintServer::load(path, lazy); });
   std::filesystem::remove(path);
 }
 
@@ -343,6 +345,7 @@ TEST(Residency, LazyLoadFaultsOnFirstQuery) {
   VisualPrintServer server = VisualPrintServer::load(db.path, lazy);
 
   // Catalog metadata is served from the manifest, nothing loaded yet.
+  EXPECT_EQ(server.store().default_place(), eager.store().default_place());
   const auto places = server.places();
   EXPECT_NE(std::find(places.begin(), places.end(), "wing-a"), places.end());
   EXPECT_NE(std::find(places.begin(), places.end(), "wing-b"), places.end());
