@@ -5,7 +5,7 @@
 # plus the MapStore ingest-while-serving soak from test_core, the
 # pool-parallel differential-evolution suite from test_geometry, the
 # shard-residency fault/evict churn soak from test_residency, and the
-# pool-helped chunked zlib suite from test_imaging.
+# pool-helped chunked zlib and pooled-blur filter suites from test_imaging.
 #
 # Usage: scripts/tier1.sh [build-dir] [tsan-build-dir]
 # The regular build (tests, benches, examples) fails on any compiler
@@ -48,9 +48,10 @@ for t in "${tsan_targets[@]}"; do
     "$tsan_dir/tests/$t" \
       --gtest_filter='Residency.SingleFlight*:Residency.Concurrent*:Residency.QueryRacing*'
   elif [ "$t" = test_imaging ]; then
-    # Only the chunked zlib suite: its chunks run on pool helpers beside
-    # the caller, including helpers that start after the call returned.
-    "$tsan_dir/tests/$t" --gtest_filter='Zlib*'
+    # The chunked zlib suite (its chunks run on pool helpers beside the
+    # caller, including helpers that start after the call returned) and the
+    # filter suite (the pooled blur splits row bands across workers).
+    "$tsan_dir/tests/$t" --gtest_filter='Zlib*:Filters*'
   else
     "$tsan_dir/tests/$t"
   fi

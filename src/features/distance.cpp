@@ -3,10 +3,13 @@
 #include <array>
 #include <atomic>
 
+#include "util/cpu.hpp"
+
 // Architecture gates. VP_DISABLE_SIMD (CMake option) forces the portable
 // scalar build even on SIMD-capable hosts so that path stays compiled and
 // tested; otherwise each kernel compiles whenever the *architecture* can
-// express it, and the CPU probe at startup decides which one runs.
+// express it, and the shared CPU probe (util/cpu.hpp) decides at startup
+// which one runs.
 #if !defined(VP_DISABLE_SIMD) && (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
 #define VP_DIST_X86 1
@@ -164,9 +167,9 @@ bool kernel_runnable(DistanceKernel kernel) noexcept {
       return true;
 #if VP_DIST_X86
     case DistanceKernel::kSse41:
-      return __builtin_cpu_supports("sse4.1");
+      return cpu_features().sse41;
     case DistanceKernel::kAvx2:
-      return __builtin_cpu_supports("avx2");
+      return cpu_features().avx2;
 #endif
 #if VP_DIST_NEON
     case DistanceKernel::kNeon:
@@ -322,9 +325,9 @@ bool hamming_runnable(HammingKernel kernel) noexcept {
       return true;
 #if VP_DIST_X86
     case HammingKernel::kPopcnt:
-      return __builtin_cpu_supports("popcnt");
+      return cpu_features().popcnt;
     case HammingKernel::kAvx2:
-      return __builtin_cpu_supports("avx2");
+      return cpu_features().avx2;
 #endif
 #if VP_DIST_NEON
     case HammingKernel::kNeon:

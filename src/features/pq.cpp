@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -278,9 +279,9 @@ bool adc_kernel_runnable(DistanceKernel kernel) noexcept {
       return true;
 #if VP_ADC_X86
     case DistanceKernel::kSse41:
-      return __builtin_cpu_supports("sse4.1");
+      return cpu_features().sse41;
     case DistanceKernel::kAvx2:
-      return __builtin_cpu_supports("avx2");
+      return cpu_features().avx2;
 #endif
 #if VP_ADC_NEON
     case DistanceKernel::kNeon:

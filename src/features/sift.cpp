@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numbers>
 #include <optional>
 
 #include "imaging/filters.hpp"
 #include "obs/trace.hpp"
+#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -222,17 +226,24 @@ ScaleSpace build_scale_space(const ImageF& image, const SiftConfig& cfg) {
   ss.intervals = cfg.intervals;
   ss.upsampled = cfg.upsample_first_octave;
 
-  ImageF base;
+  // Octave 0's base is the input (or its 2x upsample) blurred straight
+  // into its pyramid slot; no other copy of the input is made.
+  ImageF upsampled;
+  const ImageF* input = &image;
   double current_blur = cfg.initial_blur;
   if (cfg.upsample_first_octave) {
-    base = resize_bilinear(image, image.width() * 2, image.height() * 2);
+    upsampled = resize_bilinear(image, image.width() * 2, image.height() * 2);
+    input = &upsampled;
     current_blur *= 2.0;
-  } else {
-    base = image;
   }
   const double need = std::sqrt(
       std::max(0.01, cfg.sigma * cfg.sigma - current_blur * current_blur));
-  base = gaussian_blur(base, need, cfg.pool);
+  // One horizontal-pass buffer serves every blur of this call: the first
+  // blur is the largest. It dies with the call, so no frame keeps it.
+  std::vector<float> scratch;
+  ImageF base;
+  gaussian_blur_into(*input, need, base, scratch, cfg.pool);
+  upsampled = ImageF();  // 4x the input: not kept while the pyramid grows
 
   const int octaves = octave_count(base.width(), base.height(), cfg);
   const int per_octave = cfg.intervals + 3;
@@ -252,20 +263,18 @@ ScaleSpace build_scale_space(const ImageF& image, const SiftConfig& cfg) {
   ss.dogs.resize(static_cast<std::size_t>(octaves));
   for (int o = 0; o < octaves; ++o) {
     auto& gs = ss.gaussians[static_cast<std::size_t>(o)];
-    gs.reserve(static_cast<std::size_t>(per_octave));
+    gs.resize(static_cast<std::size_t>(per_octave));
     if (o == 0) {
-      gs.push_back(base);
+      gs[0] = std::move(base);
     } else {
       // Start from the previous octave's image at twice the base sigma.
-      gs.push_back(downsample_2x(
-          ss.gaussians[static_cast<std::size_t>(o - 1)]
-                      [static_cast<std::size_t>(cfg.intervals)]));
+      gs[0] = downsample_2x(ss.gaussians[static_cast<std::size_t>(o - 1)]
+                                        [static_cast<std::size_t>(cfg.intervals)]);
     }
     // The interval chain is inherently sequential (each level blurs the
     // previous one), so parallelism lives inside each blur (row-split).
-    for (int i = 1; i < per_octave; ++i) {
-      gs.push_back(gaussian_blur(gs.back(), inc[static_cast<std::size_t>(i)],
-                                 cfg.pool));
+    for (std::size_t i = 1; i < gs.size(); ++i) {
+      gaussian_blur_into(gs[i - 1], inc[i], gs[i], scratch, cfg.pool);
     }
     // DoG levels only depend on finished Gaussians: subtract in parallel
     // across the intervals of this octave.
@@ -380,6 +389,184 @@ Descriptor compute_descriptor(const ImageF& gauss, float x, float y,
   return d;
 }
 
+namespace {
+
+/// Scalar reference scan of columns [x0, x1). `rows[img][dy]` is row
+/// y - 1 + dy of prev (img 0), cur (1) and next (2).
+void row_extrema_scalar(const float* const rows[3][3], int x0, int x1,
+                        double prelim_thresh, std::vector<int>& xs) {
+  for (int x = x0; x < x1; ++x) {
+    const float v = rows[1][1][x];
+    if (std::abs(v) <= prelim_thresh) continue;
+    // 26-neighbor extremum test.
+    bool is_max = true, is_min = true;
+    for (int dy = 0; dy < 3 && (is_max || is_min); ++dy) {
+      for (int dx = -1; dx <= 1; ++dx) {
+        for (int img = 0; img < 3; ++img) {
+          if (img == 1 && dx == 0 && dy == 1) continue;
+          const float nv = rows[img][dy][x + dx];
+          if (nv >= v) is_max = false;
+          if (nv <= v) is_min = false;
+        }
+        if (!is_max && !is_min) break;
+      }
+    }
+    if (is_max || is_min) xs.push_back(x);
+  }
+}
+
+#if !defined(VP_DISABLE_SIMD) && (defined(__GNUC__) || defined(__clang__))
+#define VP_SIFT_VECTOR_SCAN 1
+#else
+#define VP_SIFT_VECTOR_SCAN 0
+#endif
+#if VP_SIFT_VECTOR_SCAN && (defined(__x86_64__) || defined(__i386__))
+#define VP_SIFT_AVX2_SCAN 1
+#else
+#define VP_SIFT_AVX2_SCAN 0
+#endif
+
+#if VP_SIFT_VECTOR_SCAN
+
+/// The largest float f with f <= t (t within float's range). For every
+/// float a, (a <= f) decides exactly as the double compare (a <= t): no
+/// float lies in (f, t].
+float float_at_or_below(double t) {
+  float f = static_cast<float>(t);
+  if (static_cast<double>(f) > t) {
+    f = std::nextafter(f, -std::numeric_limits<float>::infinity());
+  }
+  return f;
+}
+
+typedef float F32x4 __attribute__((vector_size(16)));
+typedef std::int32_t I32x4 __attribute__((vector_size(16)));
+#if VP_SIFT_AVX2_SCAN
+typedef float F32x8 __attribute__((vector_size(32)));
+typedef std::int32_t I32x8 __attribute__((vector_size(32)));
+#endif
+
+/// True when any lane of the comparison mask `m` is set.
+template <typename M>
+inline __attribute__((always_inline)) bool any_lane(const M& m) {
+  std::uint64_t parts[sizeof(M) / sizeof(std::uint64_t)];
+  std::memcpy(parts, &m, sizeof m);
+  std::uint64_t any = 0;
+  for (const std::uint64_t p : parts) any |= p;
+  return any != 0;
+}
+
+/// ge |= (n >= v) and le |= (n <= v) for the neighbours n at r[-1], r[0]
+/// and r[1] of each lane; `skip_mid` leaves out r[0] (the centre pixel).
+template <typename V, typename M>
+inline __attribute__((always_inline)) void compare_row(const float* r,
+                                                       const V& v,
+                                                       bool skip_mid, M& ge,
+                                                       M& le) {
+#pragma GCC unroll 3
+  for (int dx = -1; dx <= 1; ++dx) {
+    if (skip_mid && dx == 0) continue;
+    V n;
+    std::memcpy(&n, r + dx, sizeof n);
+    ge |= n >= v;
+    le |= n <= v;
+  }
+}
+
+/// The scalar scan one vector of columns at a time, templated on the
+/// vector type like the blur kernels (imaging/filters.cpp): 4 lanes at the
+/// baseline target (SSE2 / NEON), 8 under AVX2. Each lane reaches the
+/// scalar decision: the threshold compare runs against the float that
+/// decides as the double threshold does, and "strict max" is "no
+/// neighbour >= v" (not "every neighbour < v"), which agrees with the
+/// scalar test on NaN too. Like the scalar loop it stops early: a vector
+/// with no lane over the threshold, or with every lane already neither a
+/// max nor a min after its 8 in-plane neighbours, is done. The scalar loop
+/// finishes the tail.
+template <typename V, typename M>
+inline __attribute__((always_inline)) void row_extrema_body(
+    const float* const rows[3][3], int x0, int x1, double prelim_thresh,
+    std::vector<int>& xs) {
+  constexpr int kLanes = sizeof(V) / sizeof(float);
+  const float thresh = float_at_or_below(prelim_thresh);
+  V tv;
+  for (int j = 0; j < kLanes; ++j) tv[j] = thresh;
+  int x = x0;
+  for (; x + kLanes <= x1; x += kLanes) {
+    V v;
+    std::memcpy(&v, rows[1][1] + x, sizeof v);
+    M abs_bits;
+    std::memcpy(&abs_bits, &v, sizeof v);
+    abs_bits &= 0x7fffffff;
+    V av;
+    std::memcpy(&av, &abs_bits, sizeof av);
+    const M pass = ~(av <= tv);
+    if (!any_lane(pass)) continue;
+    M ge = {}, le = {};  // some neighbour >= v / <= v
+    compare_row(rows[1][0] + x, v, false, ge, le);
+    compare_row(rows[1][1] + x, v, true, ge, le);
+    compare_row(rows[1][2] + x, v, false, ge, le);
+    if (!any_lane(pass & ~(ge & le))) continue;
+    for (const int img : {0, 2}) {
+      for (int dy = 0; dy < 3; ++dy) {
+        compare_row(rows[img][dy] + x, v, false, ge, le);
+      }
+    }
+    const M keep = pass & ~(ge & le);
+    if (!any_lane(keep)) continue;
+    for (int j = 0; j < kLanes; ++j) {
+      if (keep[j] != 0) xs.push_back(x + j);
+    }
+  }
+  row_extrema_scalar(rows, x, x1, prelim_thresh, xs);
+}
+
+void row_extrema_vector(const float* const rows[3][3], int x0, int x1,
+                        double prelim_thresh, std::vector<int>& xs) {
+  row_extrema_body<F32x4, I32x4>(rows, x0, x1, prelim_thresh, xs);
+}
+
+#if VP_SIFT_AVX2_SCAN
+__attribute__((target("avx2"))) void row_extrema_avx2(
+    const float* const rows[3][3], int x0, int x1, double prelim_thresh,
+    std::vector<int>& xs) {
+  row_extrema_body<F32x8, I32x8>(rows, x0, x1, prelim_thresh, xs);
+}
+#endif
+
+#endif  // VP_SIFT_VECTOR_SCAN
+
+}  // namespace
+
+void row_extrema(const ImageF& prev, const ImageF& cur, const ImageF& next,
+                 int y, int border, double prelim_thresh, BlurKernel kernel,
+                 std::vector<int>& xs) {
+  const float* const rows[3][3] = {
+      {prev.row(y - 1), prev.row(y), prev.row(y + 1)},
+      {cur.row(y - 1), cur.row(y), cur.row(y + 1)},
+      {next.row(y - 1), next.row(y), next.row(y + 1)}};
+  const int x0 = border;
+  const int x1 = cur.width() - border;
+  switch (kernel) {
+#if VP_SIFT_AVX2_SCAN
+    case BlurKernel::kAvx2:
+      if (cpu_features().avx2) {
+        row_extrema_avx2(rows, x0, x1, prelim_thresh, xs);
+        return;
+      }
+      break;
+#endif
+#if VP_SIFT_VECTOR_SCAN
+    case BlurKernel::kVector:
+      row_extrema_vector(rows, x0, x1, prelim_thresh, xs);
+      return;
+#endif
+    default:
+      break;
+  }
+  row_extrema_scalar(rows, x0, x1, prelim_thresh, xs);
+}
+
 }  // namespace detail
 
 namespace {
@@ -407,27 +594,14 @@ void scan_interval_rows(const detail::ScaleSpace& ss, const SiftConfig& cfg,
   const ImageF& prev = dogs[static_cast<std::size_t>(i - 1)];
   const ImageF& cur = dogs[static_cast<std::size_t>(i)];
   const ImageF& next = dogs[static_cast<std::size_t>(i + 1)];
-  const int w = cur.width();
+  const BlurKernel kernel = active_blur_kernel();
 
+  std::vector<int> xs;
   for (int y = y0; y < y1; ++y) {
-    for (int x = cfg.border; x < w - cfg.border; ++x) {
-      const float v = cur(x, y);
-      if (std::abs(v) <= prelim_thresh) continue;
-      // 26-neighbor extremum test.
-      bool is_max = true, is_min = true;
-      for (int dy = -1; dy <= 1 && (is_max || is_min); ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          for (const ImageF* img : {&prev, &cur, &next}) {
-            const float nv = (*img)(x + dx, y + dy);
-            if (img == &cur && dx == 0 && dy == 0) continue;
-            if (nv >= v) is_max = false;
-            if (nv <= v) is_min = false;
-          }
-          if (!is_max && !is_min) break;
-        }
-      }
-      if (!is_max && !is_min) continue;
-
+    xs.clear();
+    detail::row_extrema(prev, cur, next, y, cfg.border, prelim_thresh,
+                        kernel, xs);
+    for (const int x : xs) {
       auto refined = detail::refine_extremum(dogs, i, x, y, cfg);
       if (!refined) continue;
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "features/keypoint.hpp"
+#include "imaging/filters.hpp"
 #include "imaging/image.hpp"
 
 namespace vp {
@@ -28,10 +29,13 @@ struct SiftConfig {
   int max_features = 0;           ///< 0 = unlimited, else strongest-N kept
   bool upsample_first_octave = false;///< Lowe's -1 octave (2x upsample)
   /// Optional worker pool (not owned). Parallelizes pyramid blurs (by
-  /// row), DoG subtraction (by interval), extrema scanning (by row block)
-  /// and descriptor computation (by keypoint). Output is bit-identical to
-  /// the sequential path for any pool size: every parallel stage writes
-  /// index-addressed slots that are merged in deterministic order.
+  /// bands of rows), DoG subtraction (by interval), extrema scanning (by
+  /// row block) and orientation + descriptor computation (by keypoint).
+  /// Output is bit-identical to the sequential path for any pool size:
+  /// every parallel stage writes index-addressed slots that are merged in
+  /// deterministic order. Independently of the pool, the blur and the
+  /// extrema scan run the active BlurKernel (imaging/filters.hpp), whose
+  /// every variant is bit-identical to the scalar reference.
   ThreadPool* pool = nullptr;
 };
 
@@ -62,6 +66,17 @@ ScaleSpace build_scale_space(const ImageF& image, const SiftConfig& config);
 /// image. Exposed for unit tests of descriptor invariances.
 Descriptor compute_descriptor(const ImageF& gaussian, float x, float y,
                               float scale_in_octave, float orientation);
+
+/// Append to `xs`, ascending, every column x in [border, width - border)
+/// of row y whose DoG value v = cur(x, y) passes the preliminary threshold
+/// (not |v| <= prelim_thresh, compared in double) and is a strict maximum
+/// or minimum of its 26 neighbours in prev/cur/next. `kernel` picks the
+/// scan as it picks the blur: kScalar the reference loop, kVector the
+/// 4-lane baseline scan, kAvx2 the 8-lane one (an unavailable kernel falls
+/// back to the reference). All return the same columns.
+void row_extrema(const ImageF& prev, const ImageF& cur, const ImageF& next,
+                 int y, int border, double prelim_thresh, BlurKernel kernel,
+                 std::vector<int>& xs);
 
 }  // namespace detail
 

@@ -1,14 +1,33 @@
 #include "imaging/filters.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
 
+#include "util/cpu.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+
+// Architecture gates, as in features/distance.cpp: VP_DISABLE_SIMD compiles
+// only the scalar reference; otherwise the vector kernels are compiled for
+// the baseline target and, on x86, for AVX2, and the CPU probe picks.
+#if !defined(VP_DISABLE_SIMD) && (defined(__GNUC__) || defined(__clang__))
+#define VP_BLUR_VECTOR 1
+#else
+#define VP_BLUR_VECTOR 0
+#endif
+
+#if VP_BLUR_VECTOR && (defined(__x86_64__) || defined(__i386__))
+#define VP_BLUR_AVX2 1
+#else
+#define VP_BLUR_AVX2 0
+#endif
 
 namespace vp {
 namespace {
@@ -45,6 +64,11 @@ const std::vector<float>& cached_gaussian_kernel(double sigma) {
   return *slot;  // stable address: values are never erased or replaced
 }
 
+// --- Scalar reference ------------------------------------------------------
+// Every other kernel must reproduce these loops bit for bit: each output
+// starts at 0 (horizontal) or k[0] * row0 (vertical) and adds k[i] * p[i]
+// for i = 0, 1, 2, ... in turn, one multiply and one add.
+
 /// Horizontal tap sum with the source index clamped to [0, w).
 float hblur_clamped(const float* s, int w, int x, const float* k,
                     int radius) {
@@ -71,32 +95,227 @@ void hblur_row(const float* s, float* t, int w, const float* k, int radius) {
   for (int x = hi; x < w; ++x) t[x] = hblur_clamped(s, w, x, k, radius);
 }
 
-/// One row of the vertical pass: row-major accumulation over the taps so
-/// every memory access is sequential. The row index clamp costs one clamp
-/// per tap per row (not per pixel).
-void vblur_row(const ImageF& tmp, float* o, int y, const float* k,
-               int radius) {
-  const int w = tmp.width();
-  const int h = tmp.height();
+/// One row of the vertical pass over the w x h horizontal-pass image
+/// `tmp`: row-major accumulation over the taps so every memory access is
+/// sequential. The row index clamp costs one clamp per tap per row (not
+/// per pixel).
+void vblur_row(const float* tmp, int w, int h, float* o, int y,
+               const float* k, int radius) {
+  const auto row = [&](int yi) {
+    return tmp + static_cast<std::size_t>(std::clamp(yi, 0, h - 1)) * w;
+  };
   {
-    const float* r = tmp.row(std::clamp(y - radius, 0, h - 1));
+    const float* r = row(y - radius);
     for (int x = 0; x < w; ++x) o[x] = k[0] * r[x];
   }
   const int taps = 2 * radius + 1;
   for (int i = 1; i < taps; ++i) {
-    const float* r = tmp.row(std::clamp(y - radius + i, 0, h - 1));
+    const float* r = row(y - radius + i);
     const float ki = k[i];
     for (int x = 0; x < w; ++x) o[x] += ki * r[x];
   }
 }
 
-/// Run fn(y) for y in [0, h), on the pool when given.
-void for_each_row(int h, ThreadPool* pool,
-                  const std::function<void(std::size_t)>& fn) {
+// --- Vector kernels ----------------------------------------------------------
+// One source, written with GCC/Clang vector extensions and templated on the
+// vector type, compiled once per target: with 4-lane vectors at the
+// baseline target (SSE2 on x86, NEON on aarch64, their native width) and,
+// on x86, with 8-lane vectors under target("avx2"). Lane j of a vector
+// accumulates exactly the scalar reference's sequence for its pixel, so
+// every variant is bit-identical to it; filters.cpp is compiled with
+// -ffp-contract=off so no target may fuse a multiply into its add. Each
+// step covers kStep pixels with kStep / lanes independent accumulators,
+// enough to hide the add latency. Vectors stay local to one function: a
+// 32-byte vector passed or returned by value from a baseline-target
+// function changes the psABI (-Wpsabi).
+#if VP_BLUR_VECTOR
+
+typedef float F32x4 __attribute__((vector_size(16)));
+#if VP_BLUR_AVX2
+typedef float F32x8 __attribute__((vector_size(32)));
+#endif
+
+constexpr int kStep = 32;
+
+/// out[x] = 0 + k[0]*in[x] + k[1]*in[x+1] + ... for x in [0, n): the
+/// horizontal pass over a row padded by `radius` clamped pixels each side.
+template <typename V>
+inline __attribute__((always_inline)) void hconv_body(const float* in,
+                                                      float* out, int n,
+                                                      const float* k,
+                                                      int taps) {
+  constexpr int kLanes = sizeof(V) / sizeof(float);
+  constexpr int kVecs = kStep / kLanes;
+  int x = 0;
+  for (; x + kStep <= n; x += kStep) {
+    V acc[kVecs] = {};
+    for (int i = 0; i < taps; ++i) {
+#pragma GCC unroll 8
+      for (int v = 0; v < kVecs; ++v) {
+        V p;
+        std::memcpy(&p, in + x + i + v * kLanes, sizeof p);
+        acc[v] = acc[v] + k[i] * p;
+      }
+    }
+    std::memcpy(out + x, acc, sizeof acc);
+  }
+  for (; x + kLanes <= n; x += kLanes) {
+    V acc = {};
+    for (int i = 0; i < taps; ++i) {
+      V p;
+      std::memcpy(&p, in + x + i, sizeof p);
+      acc = acc + k[i] * p;
+    }
+    std::memcpy(out + x, &acc, sizeof acc);
+  }
+  for (; x < n; ++x) {
+    float acc = 0;
+    for (int i = 0; i < taps; ++i) acc += k[i] * in[x + i];
+    out[x] = acc;
+  }
+}
+
+/// out[x] = k[0]*rows[0][x] + k[1]*rows[1][x] + ... for x in [0, n): the
+/// vertical pass, `rows` holding the (clamped) source row of each tap.
+template <typename V>
+inline __attribute__((always_inline)) void vconv_body(
+    const float* const* rows, float* out, int n, const float* k, int taps) {
+  constexpr int kLanes = sizeof(V) / sizeof(float);
+  constexpr int kVecs = kStep / kLanes;
+  int x = 0;
+  for (; x + kStep <= n; x += kStep) {
+    V acc[kVecs];
+#pragma GCC unroll 8
+    for (int v = 0; v < kVecs; ++v) {
+      V r;
+      std::memcpy(&r, rows[0] + x + v * kLanes, sizeof r);
+      acc[v] = k[0] * r;
+    }
+    for (int i = 1; i < taps; ++i) {
+#pragma GCC unroll 8
+      for (int v = 0; v < kVecs; ++v) {
+        V r;
+        std::memcpy(&r, rows[i] + x + v * kLanes, sizeof r);
+        acc[v] = acc[v] + k[i] * r;
+      }
+    }
+    std::memcpy(out + x, acc, sizeof acc);
+  }
+  for (; x + kLanes <= n; x += kLanes) {
+    V r;
+    std::memcpy(&r, rows[0] + x, sizeof r);
+    V acc = k[0] * r;
+    for (int i = 1; i < taps; ++i) {
+      std::memcpy(&r, rows[i] + x, sizeof r);
+      acc = acc + k[i] * r;
+    }
+    std::memcpy(out + x, &acc, sizeof acc);
+  }
+  for (; x < n; ++x) {
+    float acc = k[0] * rows[0][x];
+    for (int i = 1; i < taps; ++i) acc += k[i] * rows[i][x];
+    out[x] = acc;
+  }
+}
+
+void hconv_vector(const float* in, float* out, int n, const float* k,
+                  int taps) {
+  hconv_body<F32x4>(in, out, n, k, taps);
+}
+void vconv_vector(const float* const* rows, float* out, int n,
+                  const float* k, int taps) {
+  vconv_body<F32x4>(rows, out, n, k, taps);
+}
+
+#if VP_BLUR_AVX2
+__attribute__((target("avx2"))) void hconv_avx2(const float* in, float* out,
+                                                int n, const float* k,
+                                                int taps) {
+  hconv_body<F32x8>(in, out, n, k, taps);
+}
+__attribute__((target("avx2"))) void vconv_avx2(const float* const* rows,
+                                                float* out, int n,
+                                                const float* k, int taps) {
+  vconv_body<F32x8>(rows, out, n, k, taps);
+}
+#endif  // VP_BLUR_AVX2
+
+#endif  // VP_BLUR_VECTOR
+
+struct RowKernels {
+  void (*h)(const float* in, float* out, int n, const float* k, int taps);
+  void (*v)(const float* const* rows, float* out, int n, const float* k,
+            int taps);
+};
+
+RowKernels row_kernels(BlurKernel kernel) noexcept {
+  switch (kernel) {
+#if VP_BLUR_AVX2
+    case BlurKernel::kAvx2:
+      return {&hconv_avx2, &vconv_avx2};
+#endif
+#if VP_BLUR_VECTOR
+    default:
+      return {&hconv_vector, &vconv_vector};
+#else
+    default:
+      return {nullptr, nullptr};  // unreachable: only kScalar is compiled
+#endif
+  }
+}
+
+bool blur_kernel_runnable(BlurKernel kernel) noexcept {
+  switch (kernel) {
+    case BlurKernel::kScalar:
+      return true;
+#if VP_BLUR_VECTOR
+    case BlurKernel::kVector:
+      return true;  // the baseline target
+#endif
+#if VP_BLUR_AVX2
+    case BlurKernel::kAvx2:
+      return cpu_features().avx2;
+#endif
+    default:
+      return false;
+  }
+}
+
+constexpr std::array kCompiledBlurKernels = {
+    BlurKernel::kScalar,
+#if VP_BLUR_VECTOR
+    BlurKernel::kVector,
+#endif
+#if VP_BLUR_AVX2
+    BlurKernel::kAvx2,
+#endif
+};
+
+BlurKernel best_blur_kernel() noexcept {
+  BlurKernel best = BlurKernel::kScalar;
+  for (const BlurKernel k : kCompiledBlurKernels) {
+    if (blur_kernel_runnable(k)) best = k;  // list is ordered fastest-last
+  }
+  return best;
+}
+
+// Selected once before main(); each blur pays one relaxed load.
+std::atomic<BlurKernel> g_blur_active{best_blur_kernel()};
+
+/// Run fn(y0, y1) over bands of rows covering [0, h), on the pool when
+/// given. A band lets a task set up its row buffers once.
+void for_each_band(int h, ThreadPool* pool,
+                   const std::function<void(int, int)>& fn) {
+  constexpr int kBandRows = 8;
+  const int bands = (h + kBandRows - 1) / kBandRows;
+  const auto band = [&](std::size_t b) {
+    const int y0 = static_cast<int>(b) * kBandRows;
+    fn(y0, std::min(h, y0 + kBandRows));
+  };
   if (pool != nullptr) {
-    pool->parallel_for(static_cast<std::size_t>(h), fn);
+    pool->parallel_for(static_cast<std::size_t>(bands), band);
   } else {
-    for (int y = 0; y < h; ++y) fn(static_cast<std::size_t>(y));
+    for (int b = 0; b < bands; ++b) band(static_cast<std::size_t>(b));
   }
 }
 
@@ -107,25 +326,107 @@ std::size_t gaussian_kernel_cache_size() {
   return g_kernel_cache.size();
 }
 
-ImageF gaussian_blur(const ImageF& src, double sigma, ThreadPool* pool) {
+std::string_view blur_kernel_name(BlurKernel kernel) noexcept {
+  switch (kernel) {
+    case BlurKernel::kScalar:
+      return "scalar";
+    case BlurKernel::kVector:
+#if defined(__x86_64__) || defined(__i386__)
+      return "sse2";
+#elif defined(__ARM_NEON)
+      return "neon";
+#else
+      return "vector";
+#endif
+    case BlurKernel::kAvx2:
+      return "avx2";
+  }
+  return "unknown";
+}
+
+std::span<const BlurKernel> compiled_blur_kernels() noexcept {
+  return kCompiledBlurKernels;
+}
+
+BlurKernel active_blur_kernel() noexcept {
+  return g_blur_active.load(std::memory_order_relaxed);
+}
+
+bool set_blur_kernel(BlurKernel kernel) noexcept {
+  bool compiled = false;
+  for (const BlurKernel k : kCompiledBlurKernels) compiled |= (k == kernel);
+  if (!compiled || !blur_kernel_runnable(kernel)) return false;
+  g_blur_active.store(kernel, std::memory_order_relaxed);
+  return true;
+}
+
+void gaussian_blur_into(const ImageF& src, double sigma, ImageF& dst,
+                        std::vector<float>& scratch, ThreadPool* pool) {
   VP_REQUIRE(src.channels() == 1, "gaussian_blur expects grayscale");
-  if (sigma <= 0.0 || src.empty()) return src;
+  VP_REQUIRE(&dst != &src, "gaussian_blur_into: dst aliases src");
+  if (sigma <= 0.0 || src.empty()) {
+    dst = src;
+    return;
+  }
   const auto& k = cached_gaussian_kernel(sigma);
   const int radius = static_cast<int>(k.size() / 2);
+  const int taps = 2 * radius + 1;
   const float* kp = k.data();
   const int w = src.width();
   const int h = src.height();
+  if (dst.width() != w || dst.height() != h || dst.channels() != 1) {
+    dst = ImageF(w, h);
+  }
+  if (scratch.size() < src.pixel_count()) scratch.resize(src.pixel_count());
+  float* tmp = scratch.data();
+  const auto tmp_row = [&](int y) {
+    return tmp + static_cast<std::size_t>(y) * w;
+  };
 
-  ImageF tmp(w, h);
-  for_each_row(h, pool, [&](std::size_t y) {
-    const int yi = static_cast<int>(y);
-    hblur_row(src.row(yi), tmp.row(yi), w, kp, radius);
+  const BlurKernel kernel = active_blur_kernel();
+  if (kernel == BlurKernel::kScalar) {
+    for_each_band(h, pool, [&](int y0, int y1) {
+      for (int y = y0; y < y1; ++y) {
+        hblur_row(src.row(y), tmp_row(y), w, kp, radius);
+      }
+    });
+    for_each_band(h, pool, [&](int y0, int y1) {
+      for (int y = y0; y < y1; ++y) {
+        vblur_row(tmp, w, h, dst.row(y), y, kp, radius);
+      }
+    });
+    return;
+  }
+
+  const RowKernels rk = row_kernels(kernel);
+  for_each_band(h, pool, [&](int y0, int y1) {
+    // The row padded by `radius` copies of its edge pixels each side, so
+    // the kernel's clamp-free taps read what hblur_clamped reads.
+    std::vector<float> padded(static_cast<std::size_t>(w + 2 * radius));
+    for (int y = y0; y < y1; ++y) {
+      const float* s = src.row(y);
+      std::fill_n(padded.begin(), radius, s[0]);
+      std::copy(s, s + w, padded.begin() + radius);
+      std::fill_n(padded.begin() + radius + w, radius, s[w - 1]);
+      rk.h(padded.data(), tmp_row(y), w, kp, taps);
+    }
   });
-  ImageF out(w, h);
-  for_each_row(h, pool, [&](std::size_t y) {
-    const int yi = static_cast<int>(y);
-    vblur_row(tmp, out.row(yi), yi, kp, radius);
+  for_each_band(h, pool, [&](int y0, int y1) {
+    std::vector<const float*> rows(static_cast<std::size_t>(taps));
+    for (int y = y0; y < y1; ++y) {
+      for (int i = 0; i < taps; ++i) {
+        rows[static_cast<std::size_t>(i)] =
+            tmp_row(std::clamp(y - radius + i, 0, h - 1));
+      }
+      rk.v(rows.data(), dst.row(y), w, kp, taps);
+    }
   });
+}
+
+ImageF gaussian_blur(const ImageF& src, double sigma, ThreadPool* pool) {
+  ImageF out;
+  std::vector<float> scratch;
+  gaussian_blur_into(src, sigma, out, scratch, pool);
   return out;
 }
 

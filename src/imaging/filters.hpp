@@ -3,6 +3,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <string_view>
+#include <vector>
 
 #include "imaging/image.hpp"
 
@@ -10,13 +14,47 @@ namespace vp {
 
 class ThreadPool;
 
+/// Row kernels of the separable Gaussian blur. Every variant sums each
+/// output's taps in the same order with a separate multiply and add, so
+/// every variant is bit-identical to the scalar reference.
+enum class BlurKernel : std::uint8_t {
+  kScalar = 0,  ///< the reference loops; the only one under VP_DISABLE_SIMD
+  kVector = 1,  ///< 4-lane vectors at the baseline target (SSE2 / NEON)
+  kAvx2 = 2,    ///< the same source with 8-lane vectors under AVX2 (x86)
+};
+
+/// "scalar", "sse2" / "neon" / "vector" (by target), or "avx2".
+std::string_view blur_kernel_name(BlurKernel kernel) noexcept;
+
+/// Kernels compiled into this binary, fastest last; always has kScalar.
+std::span<const BlurKernel> compiled_blur_kernels() noexcept;
+
+/// The kernel gaussian_blur runs: the fastest compiled kernel the CPU
+/// supports, picked once before main(). The SIFT DoG extrema scan follows
+/// it too: kScalar runs its scalar reference, any other its vector scan.
+BlurKernel active_blur_kernel() noexcept;
+
+/// Pin the active kernel (tests and benches compare against kScalar).
+/// Returns false, changing nothing, when `kernel` is not compiled in or
+/// the CPU lacks it. Not safe concurrently with blurs in flight.
+bool set_blur_kernel(BlurKernel kernel) noexcept;
+
 /// Separable Gaussian blur with kernel radius ceil(3*sigma). sigma <= 0
 /// returns a copy. When `pool` is non-null the horizontal and vertical
-/// passes are row-parallelized across it; the output is bit-identical to
-/// the sequential path for any pool size (each row is computed
-/// independently by one task).
+/// passes are split by rows across it; the output is bit-identical to the
+/// sequential path for any pool size (each row is computed independently
+/// by one task) and for every BlurKernel.
 ImageF gaussian_blur(const ImageF& src, double sigma,
                      ThreadPool* pool = nullptr);
+
+/// gaussian_blur into `dst` (reallocated only when its shape differs from
+/// src's; must not alias src), with the horizontal pass written to
+/// `scratch`, which grows to src's pixel count and is kept so a caller
+/// blurring many images (the SIFT pyramid) allocates it once. sigma <= 0
+/// copies src.
+void gaussian_blur_into(const ImageF& src, double sigma, ImageF& dst,
+                        std::vector<float>& scratch,
+                        ThreadPool* pool = nullptr);
 
 /// Number of distinct Gaussian kernels currently memoized (kernels are
 /// cached across calls keyed by quantized sigma; exposed for tests).

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
 
 #include "features/distance.hpp"
 #include "features/pq.hpp"
@@ -11,6 +15,8 @@
 #include "features/pca.hpp"
 #include "features/sift.hpp"
 #include "imaging/filters.hpp"
+#include "scene/environments.hpp"
+#include "scene/render.hpp"
 #include "scene/texture.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -497,6 +503,99 @@ TEST(Sift, BitIdenticalAcrossPoolSizes) {
       EXPECT_EQ(got[i].keypoint.response, baseline[i].keypoint.response);
       EXPECT_EQ(got[i].keypoint.octave, baseline[i].keypoint.octave);
       EXPECT_EQ(got[i].descriptor, baseline[i].descriptor);
+    }
+  }
+}
+
+void expect_same_features(const std::vector<Feature>& got,
+                          const std::vector<Feature>& want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Keypoint& a = got[i].keypoint;
+    const Keypoint& b = want[i].keypoint;
+    ASSERT_TRUE(std::memcmp(&a.x, &b.x, sizeof a.x) == 0 &&
+                std::memcmp(&a.y, &b.y, sizeof a.y) == 0 &&
+                std::memcmp(&a.scale, &b.scale, sizeof a.scale) == 0 &&
+                std::memcmp(&a.orientation, &b.orientation,
+                            sizeof a.orientation) == 0 &&
+                std::memcmp(&a.response, &b.response, sizeof a.response) ==
+                    0 &&
+                a.octave == b.octave &&
+                got[i].descriptor == want[i].descriptor)
+        << what << ": feature " << i;
+  }
+}
+
+// The scale-space kernels are a pure speed knob, like the pool: on a
+// rendered 920x540 office frame (the benchmark's query size), the scalar
+// blur + extrema scan and the active kernels give byte-identical features
+// and pyramids, at pool sizes 0, 1 and 4.
+TEST(Sift, ScalarAndActiveScaleSpaceKernelsAgreeOnOfficeFrame) {
+  Rng rng(2016);
+  const World world = build_office(
+      RoomConfig{.width = 18, .depth = 10, .height = 3, .num_scenes = 6},
+      rng);
+  const Camera cam =
+      look_at(CameraIntrinsics{920, 540, 1.15192}, {9, 5, 1.5}, {9, 8, 1.5});
+  const ImageF frame = render(world, cam, {}, rng).image;
+
+  const BlurKernel active = active_blur_kernel();
+  ASSERT_TRUE(set_blur_kernel(BlurKernel::kScalar));
+  const auto reference = sift_detect(frame);
+  const auto reference_ss = detail::build_scale_space(frame, {});
+  ASSERT_TRUE(set_blur_kernel(active));
+  ASSERT_GT(reference.size(), 50u);
+
+  const auto ss = detail::build_scale_space(frame, {});
+  ASSERT_EQ(ss.gaussians, reference_ss.gaussians);
+  ASSERT_EQ(ss.dogs, reference_ss.dogs);
+  for (const unsigned threads : {0u, 1u, 4u}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    SiftConfig cfg;
+    cfg.pool = pool.get();
+    expect_same_features(sift_detect(frame, cfg), reference,
+                         std::string(blur_kernel_name(active)) + ", " +
+                             std::to_string(threads) + " threads");
+  }
+}
+
+// The preliminary threshold is compared in double (|v| <= t skips v). The
+// vector scans compare floats, so a DoG value exactly at the threshold's
+// float or one ulp either side must get the scalar decision from every
+// kernel: for a threshold a float represents (1.25), the default one
+// (0.5 * 255 * 0.03 / 3 = 1.275, whose float rounds down) and one whose
+// float rounds up (0.1).
+TEST(Sift, ExtremaThresholdDecidedExactlyAtTheBoundary) {
+  for (const double thresh : {1.25, 0.5 * 255.0 * 0.03 / 3, 0.1}) {
+    const float at = static_cast<float>(thresh);
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> values;
+    for (const float f :
+         {std::nextafter(at, -inf), at, std::nextafter(at, inf)}) {
+      values.push_back(f);
+      values.push_back(-f);  // minima take the same threshold on |v|
+    }
+    // Each value sits on a zero plane, two columns apart, so it is a strict
+    // max (or min) of its 26 neighbours: only the threshold decides it.
+    constexpr int kBorder = 1;
+    const int w = 2 * static_cast<int>(values.size()) + 2 * kBorder + 9;
+    ImageF prev(w, 3), cur(w, 3), next(w, 3);
+    std::vector<int> want;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const int x = kBorder + 1 + 2 * static_cast<int>(i);
+      cur(x, 1) = values[i];
+      if (!(std::abs(values[i]) <= thresh)) want.push_back(x);
+    }
+    // Both decisions occur among the three magnitudes.
+    ASSERT_GT(want.size(), 0u);
+    ASSERT_LT(want.size(), values.size());
+    for (const BlurKernel kernel : compiled_blur_kernels()) {
+      std::vector<int> got;
+      detail::row_extrema(prev, cur, next, 1, kBorder, thresh, kernel, got);
+      EXPECT_EQ(got, want) << blur_kernel_name(kernel) << " threshold "
+                           << thresh;
     }
   }
 }

@@ -2,7 +2,10 @@
 
 #include <zlib.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <latch>
 #include <set>
@@ -135,6 +138,88 @@ TEST(Filters, BlurWithPoolMatchesSequentialExactly) {
   for (std::size_t i = 0; i < seq.pixels().size(); ++i) {
     EXPECT_EQ(par.pixels()[i], seq.pixels()[i]) << "pixel " << i;
   }
+}
+
+/// gaussian_blur with `kernel` pinned, then the active kernel restored.
+ImageF blur_with(BlurKernel kernel, const ImageF& img, double sigma) {
+  const BlurKernel active = active_blur_kernel();
+  EXPECT_TRUE(set_blur_kernel(kernel));
+  ImageF out = gaussian_blur(img, sigma);
+  EXPECT_TRUE(set_blur_kernel(active));
+  return out;
+}
+
+// Every compiled blur kernel must reproduce the scalar reference byte for
+// byte. The sigmas are the default SIFT pyramid's (base 1.52 and the five
+// increments, radius 4-10) plus a sub-pixel and a wide one. Widths run
+// from 1 to 2*radius + 17, so every split between the clamped borders,
+// the vector steps and the scalar tail runs, including images narrower
+// than the kernel; heights 1-3 cover the vertical clamp.
+TEST(Filters, EveryBlurKernelMatchesScalarReference) {
+  ASSERT_EQ(compiled_blur_kernels().front(), BlurKernel::kScalar);
+  Rng rng(21);
+  for (const double sigma : {1.52, 1.23, 1.55, 1.95, 2.46, 3.10, 0.3, 8.0}) {
+    const int radius =
+        std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
+    for (int h = 1; h <= 3; ++h) {
+      for (int w = 1; w <= 2 * radius + 17; ++w) {
+        ImageF img(w, h);
+        for (auto& p : img.pixels()) {
+          p = static_cast<float>(rng.uniform(0, 255));
+        }
+        const ImageF ref =
+            blur_with(BlurKernel::kScalar, img, sigma);
+        for (const BlurKernel kernel : compiled_blur_kernels()) {
+          const ImageF got = blur_with(kernel, img, sigma);
+          ASSERT_EQ(got.width(), w);
+          ASSERT_EQ(got.height(), h);
+          ASSERT_EQ(std::memcmp(got.data(), ref.data(), ref.byte_size()), 0)
+              << blur_kernel_name(kernel) << " sigma " << sigma << " " << w
+              << "x" << h;
+        }
+      }
+    }
+  }
+}
+
+TEST(Filters, ActiveBlurKernelIsCompiledAndPinnable) {
+  const BlurKernel active = active_blur_kernel();
+  const auto compiled = compiled_blur_kernels();
+  EXPECT_NE(std::find(compiled.begin(), compiled.end(), active),
+            compiled.end());
+  EXPECT_TRUE(set_blur_kernel(BlurKernel::kScalar));
+  EXPECT_EQ(active_blur_kernel(), BlurKernel::kScalar);
+  EXPECT_TRUE(set_blur_kernel(active));
+  EXPECT_EQ(active_blur_kernel(), active);
+  // Only compiled kernels are switchable (under VP_DISABLE_SIMD that is
+  // kScalar alone).
+  for (const BlurKernel probe : {BlurKernel::kVector, BlurKernel::kAvx2}) {
+    if (std::find(compiled.begin(), compiled.end(), probe) == compiled.end()) {
+      EXPECT_FALSE(set_blur_kernel(probe));
+    }
+  }
+  EXPECT_EQ(active_blur_kernel(), active);
+}
+
+TEST(Filters, BlurIntoMatchesBlurAndReusesBuffers) {
+  Rng rng(22);
+  ImageF big(61, 37), small(23, 11);
+  for (auto& p : big.pixels()) p = static_cast<float>(rng.uniform(0, 255));
+  for (auto& p : small.pixels()) p = static_cast<float>(rng.uniform(0, 255));
+  std::vector<float> scratch;
+  ImageF dst;
+  gaussian_blur_into(big, 1.95, dst, scratch);
+  EXPECT_EQ(dst, gaussian_blur(big, 1.95));
+  EXPECT_EQ(scratch.size(), big.pixel_count());
+  const float* storage = dst.data();
+  gaussian_blur_into(big, 2.46, dst, scratch);  // same shape: no realloc
+  EXPECT_EQ(dst.data(), storage);
+  EXPECT_EQ(dst, gaussian_blur(big, 2.46));
+  gaussian_blur_into(small, 1.23, dst, scratch);  // scratch never shrinks
+  EXPECT_EQ(dst, gaussian_blur(small, 1.23));
+  EXPECT_EQ(scratch.size(), big.pixel_count());
+  gaussian_blur_into(small, 0.0, dst, scratch);
+  EXPECT_EQ(dst, small);
 }
 
 TEST(Filters, GaussianKernelIsCachedAcrossCalls) {
