@@ -25,9 +25,7 @@ std::optional<Vec2> CameraIntrinsics::project(Vec3 p) const noexcept {
 }
 
 Vec3 CameraIntrinsics::pixel_ray(Vec2 pixel) const noexcept {
-  const double f = focal_px();
-  const Vec2 c = principal_point();
-  return Vec3{(pixel.x - c.x) / f, (pixel.y - c.y) / f, 1.0}.normalized();
+  return pixel_ray(pixel, focal_px());
 }
 
 }  // namespace vp

@@ -36,6 +36,16 @@ struct CameraIntrinsics {
 
   /// Unit ray in camera body frame through pixel (px, py).
   Vec3 pixel_ray(Vec2 pixel) const noexcept;
+
+  /// pixel_ray() with `focal` = focal_px() supplied by the caller, so a
+  /// loop over a frame's pixels evaluates the tan once. Defined inline so
+  /// that pixel_ray(pixel), which the pose solve calls for every pair of
+  /// every evaluation, still compiles to a single body with no extra call.
+  Vec3 pixel_ray(Vec2 pixel, double focal) const noexcept {
+    const Vec2 c = principal_point();
+    return Vec3{(pixel.x - c.x) / focal, (pixel.y - c.y) / focal, 1.0}
+        .normalized();
+  }
 };
 
 /// A camera = intrinsics + world pose.
@@ -50,7 +60,12 @@ struct Camera {
 
   /// World-frame unit ray through a pixel.
   Vec3 world_ray(Vec2 pixel) const noexcept {
-    return (pose.rotation * intrinsics.pixel_ray(pixel)).normalized();
+    return world_ray(pixel, intrinsics.focal_px());
+  }
+
+  /// world_ray() with `focal` = intrinsics.focal_px() supplied.
+  Vec3 world_ray(Vec2 pixel, double focal) const noexcept {
+    return (pose.rotation * intrinsics.pixel_ray(pixel, focal)).normalized();
   }
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "geometry/eigen.hpp"
 #include "util/error.hpp"
@@ -10,6 +12,8 @@ namespace vp {
 namespace {
 
 constexpr std::int64_t kCoordBias = 1 << 20;
+/// pack_cell() fills 63 bits, so an all-ones key marks an empty slot.
+constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
 std::uint64_t pack_cell(std::int64_t x, std::int64_t y, std::int64_t z) noexcept {
   // 21 bits per axis, biased to keep coordinates positive.
@@ -21,21 +25,79 @@ std::uint64_t pack_cell(std::int64_t x, std::int64_t y, std::int64_t z) noexcept
 
 }  // namespace
 
-PointGrid::PointGrid(std::span<const Vec3> points, double cell_size)
-    : points_(points.begin(), points.end()), cell_(cell_size) {
+PointGrid::PointGrid(double cell_size) : cell_(cell_size) {
   VP_REQUIRE(cell_size > 0, "PointGrid cell size must be positive");
-  sorted_cells_.reserve(points_.size());
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    sorted_cells_.emplace_back(key_of(points_[i]),
-                               static_cast<std::uint32_t>(i));
-  }
-  std::sort(sorted_cells_.begin(), sorted_cells_.end());
+}
+
+PointGrid::PointGrid(std::span<const Vec3> points, double cell_size)
+    : PointGrid(cell_size) {
+  add(points);
 }
 
 std::uint64_t PointGrid::key_of(Vec3 p) const noexcept {
   return pack_cell(static_cast<std::int64_t>(std::floor(p.x / cell_)),
                    static_cast<std::int64_t>(std::floor(p.y / cell_)),
                    static_cast<std::int64_t>(std::floor(p.z / cell_)));
+}
+
+std::size_t PointGrid::slot_of(std::uint64_t key) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot =
+      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+  while (slots_[slot].first != kEmptyKey && slots_[slot].first != key) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void PointGrid::rehash(std::size_t capacity) {
+  slots_.assign(capacity, {kEmptyKey, 0});
+  for (std::size_t c = 0; c < cells_.size(); ++c) {
+    slots_[slot_of(cells_[c].key)] = {cells_[c].key,
+                                      static_cast<std::uint32_t>(c)};
+  }
+}
+
+void PointGrid::add(std::span<const Vec3> points) {
+  VP_REQUIRE(points_.size() + points.size() <= UINT32_MAX,
+             "PointGrid holds at most 2^32 - 1 points");
+  points_.insert(points_.end(), points.begin(), points.end());
+  for (const Vec3& p : points) {
+    const std::uint64_t key = key_of(p);
+    if (2 * (cells_.size() + 1) > slots_.size()) {
+      rehash(std::max<std::size_t>(16, 2 * slots_.size()));
+    }
+    auto& slot = slots_[slot_of(key)];
+    if (slot.first == kEmptyKey) {
+      slot = {key, static_cast<std::uint32_t>(cells_.size())};
+      cells_.push_back(Cell{key, 0, 0});
+    }
+    cell_of_.push_back(slot.second);
+    ++cells_[slot.second].count;
+  }
+  // Lay the runs out again with a stable counting sort by cell, which
+  // keeps each run in ascending index order. `begin` serves as the fill
+  // cursor and is rewound afterwards.
+  std::uint32_t offset = 0;
+  for (Cell& cell : cells_) {
+    cell.begin = offset;
+    offset += cell.count;
+  }
+  run_points_.resize(points_.size());
+  run_indices_.resize(points_.size());
+  for (std::size_t i = 0; i < points_.size(); ++i) {
+    Cell& cell = cells_[cell_of_[i]];
+    run_points_[cell.begin] = points_[i];
+    run_indices_[cell.begin] = static_cast<std::uint32_t>(i);
+    ++cell.begin;
+  }
+  for (Cell& cell : cells_) cell.begin -= cell.count;
+}
+
+const PointGrid::Cell* PointGrid::find(std::uint64_t key) const noexcept {
+  if (slots_.empty()) return nullptr;
+  const auto& slot = slots_[slot_of(key)];
+  return slot.first == kEmptyKey ? nullptr : &cells_[slot.second];
 }
 
 std::optional<std::size_t> PointGrid::nearest(Vec3 query,
@@ -52,15 +114,14 @@ std::optional<std::size_t> PointGrid::nearest(Vec3 query,
   for (std::int64_t dx = -reach; dx <= reach; ++dx) {
     for (std::int64_t dy = -reach; dy <= reach; ++dy) {
       for (std::int64_t dz = -reach; dz <= reach; ++dz) {
-        const std::uint64_t key = pack_cell(cx + dx, cy + dy, cz + dz);
-        auto it = std::lower_bound(
-            sorted_cells_.begin(), sorted_cells_.end(),
-            std::make_pair(key, std::uint32_t{0}));
-        for (; it != sorted_cells_.end() && it->first == key; ++it) {
-          const double d2 = (points_[it->second] - query).norm2();
+        const Cell* cell = find(pack_cell(cx + dx, cy + dy, cz + dz));
+        if (cell == nullptr) continue;
+        const std::uint32_t end = cell->begin + cell->count;
+        for (std::uint32_t j = cell->begin; j < end; ++j) {
+          const double d2 = (run_points_[j] - query).norm2();
           if (d2 < best_d2) {
             best_d2 = d2;
-            best = it->second;
+            best = run_indices_[j];
           }
         }
       }
@@ -69,25 +130,44 @@ std::optional<std::size_t> PointGrid::nearest(Vec3 query,
   return best;
 }
 
+double icp_grid_cell(const IcpConfig& config) noexcept {
+  return std::max(0.25, config.max_correspondence_dist);
+}
+
 IcpResult icp_align(std::span<const Vec3> source, std::span<const Vec3> target,
                     const IcpConfig& config) {
-  IcpResult result;
-  if (source.empty() || target.empty()) return result;
+  if (source.empty() || target.empty()) return {};
+  return icp_align(source, PointGrid(target, icp_grid_cell(config)), config);
+}
 
-  const PointGrid grid(target, std::max(0.25, config.max_correspondence_dist));
+IcpResult icp_align(std::span<const Vec3> source, const PointGrid& grid,
+                    const IcpConfig& config) {
+  IcpResult result;
+  if (source.empty() || grid.size() == 0) return result;
+
+  const std::vector<Vec3>& target = grid.points();
   std::vector<Vec3> current(source.begin(), source.end());
+  // Nearest target per current point. The error pass that ends an
+  // iteration queries exactly the points the next gather pass would, so
+  // its matches carry over instead of being searched again.
+  std::vector<std::optional<std::size_t>> matches(current.size());
+  const auto match_all = [&] {
+    for (std::size_t i = 0; i < current.size(); ++i) {
+      matches[i] = grid.nearest(current[i], config.max_correspondence_dist);
+    }
+  };
+  match_all();
 
   double prev_error = std::numeric_limits<double>::max();
   Pose total{};  // identity
+  std::vector<std::pair<Vec3, Vec3>> pairs;  // (source, matched target)
+  pairs.reserve(current.size());
 
   for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
-    // Gather correspondences for the current alignment.
-    std::vector<std::pair<Vec3, Vec3>> pairs;  // (source, matched target)
-    pairs.reserve(current.size());
-    for (const Vec3& p : current) {
-      if (auto idx = grid.nearest(p, config.max_correspondence_dist)) {
-        pairs.emplace_back(p, target[*idx]);
-      }
+    // Correspondences for the current alignment.
+    pairs.clear();
+    for (std::size_t i = 0; i < current.size(); ++i) {
+      if (matches[i]) pairs.emplace_back(current[i], target[*matches[i]]);
     }
     result.correspondences = pairs.size();
     if (pairs.size() < config.min_correspondences) return result;
@@ -146,11 +226,12 @@ IcpResult icp_align(std::span<const Vec3> source, std::span<const Vec3> target,
     for (auto& p : current) p = step.to_world(p);
     total = step * total;
 
+    match_all();
     double err = 0;
     std::size_t matched = 0;
-    for (const Vec3& p : current) {
-      if (auto idx = grid.nearest(p, config.max_correspondence_dist)) {
-        err += (target[*idx] - p).norm();
+    for (std::size_t i = 0; i < current.size(); ++i) {
+      if (matches[i]) {
+        err += (target[*matches[i]] - current[i]).norm();
         ++matched;
       }
     }

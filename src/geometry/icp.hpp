@@ -39,11 +39,19 @@ struct IcpResult {
   bool converged = false;
 };
 
-/// Nearest-neighbor lookup structure over a fixed 3-D point set (uniform
-/// grid hash). Query cost is O(1) for point densities near the cell size.
+/// Nearest-neighbour lookup over a growing 3-D point set: a uniform grid
+/// whose cells are found through an open-addressing hash from cell key to
+/// cell. Each cell's points sit in one contiguous run in ascending index
+/// order, so equal distances resolve to the lowest index of the first cell
+/// in dx/dy/dz scan order. Query cost is O(1) for densities near the cell
+/// size; add() costs O(size()) to lay the runs out again.
 class PointGrid {
  public:
+  explicit PointGrid(double cell_size);
   PointGrid(std::span<const Vec3> points, double cell_size);
+
+  /// Appends points; their indices continue from size().
+  void add(std::span<const Vec3> points);
 
   /// Nearest point index within `max_dist`, or nullopt.
   std::optional<std::size_t> nearest(Vec3 query, double max_dist) const;
@@ -52,11 +60,29 @@ class PointGrid {
   const std::vector<Vec3>& points() const noexcept { return points_; }
 
  private:
+  struct Cell {
+    std::uint64_t key = 0;
+    std::uint32_t begin = 0;  ///< first slot of the run in run_points_
+    std::uint32_t count = 0;
+  };
+
   std::vector<Vec3> points_;
   double cell_;
-  struct Impl;
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> sorted_cells_;
+  std::vector<std::uint32_t> cell_of_;  ///< cell per point, into cells_
+  std::vector<Cell> cells_;
+  /// Every cell's points (and their indices into points_), run after run.
+  std::vector<Vec3> run_points_;
+  std::vector<std::uint32_t> run_indices_;
+  /// Open-addressing table of (cell key, index into cells_); an empty slot
+  /// holds an all-ones key, which no cell packs to. Capacity is a power of
+  /// two, kept at most half full.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> slots_;
+
   std::uint64_t key_of(Vec3 p) const noexcept;
+  /// Slot holding `key`, or the empty slot where it would go.
+  std::size_t slot_of(std::uint64_t key) const noexcept;
+  const Cell* find(std::uint64_t key) const noexcept;
+  void rehash(std::size_t capacity);
 };
 
 /// Align `source` onto `target`; returns the rigid transform T such that
@@ -64,5 +90,14 @@ class PointGrid {
 /// few correspondences are found.
 IcpResult icp_align(std::span<const Vec3> source, std::span<const Vec3> target,
                     const IcpConfig& config = {});
+
+/// icp_align against a prebuilt grid over the target points. The result
+/// equals icp_align(source, grid.points(), config) when the grid's cell size
+/// is icp_grid_cell(config).
+IcpResult icp_align(std::span<const Vec3> source, const PointGrid& grid,
+                    const IcpConfig& config = {});
+
+/// Cell size icp_align uses for its target grid.
+double icp_grid_cell(const IcpConfig& config) noexcept;
 
 }  // namespace vp

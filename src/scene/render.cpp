@@ -39,11 +39,14 @@ RenderOutput render(const World& world, const Camera& camera,
   const int dh = depth ? std::max(1, cam.height / options.depth_downscale) : 0;
   if (depth) out.depth = ImageF(dw, dh, 1, 0.0f);
 
-  const Vec3 origin = camera.pose.translation;
+  // One caster and one focal length per frame: every ray leaves the camera
+  // centre, so the per-quad plane numerators and the tan are shared.
+  const RayCaster caster(world, camera.pose.translation);
+  const double focal = cam.focal_px();
   for (int y = 0; y < cam.height; ++y) {
     for (int x = 0; x < cam.width; ++x) {
-      const Vec3 dir = camera.world_ray({x + 0.5, y + 0.5});
-      const auto hit = raycast(world, origin, dir);
+      const Vec3 dir = camera.world_ray({x + 0.5, y + 0.5}, focal);
+      const auto hit = caster.cast(dir);
       if (!hit) continue;
       const auto& quad = world.quads()[hit->quad];
       const float albedo =
@@ -51,7 +54,7 @@ RenderOutput render(const World& world, const Camera& camera,
       // Simple lighting: ambient plus distance falloff, plus a grazing-angle
       // dimming so oblique surfaces shade like real walls do.
       const double facing =
-          std::abs(dir.dot(quad.normal()));
+          std::abs(dir.dot(world.ray_terms()[hit->quad].unit_n));
       const double light =
           options.ambient + (1.0 - options.ambient) * facing;
       const double falloff =
@@ -66,8 +69,8 @@ RenderOutput render(const World& world, const Camera& camera,
       for (int x = 0; x < dw; ++x) {
         const Vec2 px{(x + 0.5) * options.depth_downscale,
                       (y + 0.5) * options.depth_downscale};
-        const Vec3 dir = camera.world_ray(px);
-        if (const auto hit = raycast(world, origin, dir)) {
+        const Vec3 dir = camera.world_ray(px, focal);
+        if (const auto hit = caster.cast(dir)) {
           out.depth(x, y) = static_cast<float>(hit->t);
         }
       }
@@ -91,6 +94,7 @@ std::vector<int> visible_scene_ids(const World& world, const Camera& camera,
   // the projected footprint of the winning samples.
   std::vector<int> visible;
   const Vec3 origin = camera.pose.translation;
+  const RayCaster caster(world, origin);
   for (std::size_t qi = 0; qi < world.quads().size(); ++qi) {
     const auto& q = world.quads()[qi];
     if (q.scene_id == kBackgroundScene) continue;
@@ -106,7 +110,7 @@ std::vector<int> visible_scene_ids(const World& world, const Camera& camera,
         const auto px = camera.project_world(p);
         if (!px) continue;
         const Vec3 dir = (p - origin).normalized();
-        const auto hit = raycast(world, origin, dir);
+        const auto hit = caster.cast(dir);
         if (!hit || hit->quad != qi) continue;  // occluded
         ++hits;
         lo.x = std::min(lo.x, px->x);

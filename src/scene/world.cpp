@@ -1,6 +1,7 @@
 #include "scene/world.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "util/error.hpp"
@@ -17,6 +18,15 @@ void World::add_quad(TexturedQuad quad) {
   VP_REQUIRE(quad.texture < textures_.size(),
              "add_quad: texture index out of range");
   VP_REQUIRE(quad.area() > 1e-12, "add_quad: degenerate quad");
+  QuadRayTerms terms;
+  terms.origin = quad.origin;
+  terms.edge_u = quad.edge_u;
+  terms.edge_v = quad.edge_v;
+  terms.n = quad.edge_u.cross(quad.edge_v);
+  terms.unit_n = quad.normal();
+  terms.uu = quad.edge_u.norm2();
+  terms.vv = quad.edge_v.norm2();
+  ray_terms_.push_back(terms);
   quads_.push_back(std::move(quad));
 }
 
@@ -57,28 +67,37 @@ void World::bounds(Vec3& lo, Vec3& hi) const {
   if (quads_.empty()) lo = hi = Vec3{};
 }
 
-std::optional<RayHit> raycast(const World& world, Vec3 origin, Vec3 dir,
-                              double t_min) {
+RayCaster::RayCaster(const World& world, Vec3 origin)
+    : terms_(world.ray_terms()), origin_(origin) {
+  numerators_.reserve(terms_.size());
+  for (const auto& q : terms_) {
+    numerators_.push_back((q.origin - origin).dot(q.n));
+  }
+}
+
+std::optional<RayHit> RayCaster::cast(Vec3 dir, double t_min) const {
   std::optional<RayHit> best;
-  for (std::size_t qi = 0; qi < world.quads().size(); ++qi) {
-    const auto& q = world.quads()[qi];
-    const Vec3 n = q.edge_u.cross(q.edge_v);
-    const double denom = dir.dot(n);
+  for (std::size_t qi = 0; qi < terms_.size(); ++qi) {
+    const auto& q = terms_[qi];
+    const double denom = dir.dot(q.n);
     if (std::abs(denom) < 1e-12) continue;  // parallel
-    const double t = (q.origin - origin).dot(n) / denom;
+    const double t = numerators_[qi] / denom;
     if (t <= t_min) continue;
     if (best && t >= best->t) continue;
-    const Vec3 p = origin + dir * t;
+    const Vec3 p = origin_ + dir * t;
     const Vec3 rel = p - q.origin;
     // Builders keep edges orthogonal, so the local coordinates decouple.
-    const double uu = q.edge_u.norm2();
-    const double vv = q.edge_v.norm2();
-    const double u = rel.dot(q.edge_u) / uu;
-    const double v = rel.dot(q.edge_v) / vv;
+    const double u = rel.dot(q.edge_u) / q.uu;
+    const double v = rel.dot(q.edge_v) / q.vv;
     if (u < 0 || u > 1 || v < 0 || v > 1) continue;
     best = RayHit{t, qi, u, v};
   }
   return best;
+}
+
+std::optional<RayHit> raycast(const World& world, Vec3 origin, Vec3 dir,
+                              double t_min) {
+  return RayCaster(world, origin).cast(dir, t_min);
 }
 
 }  // namespace vp

@@ -35,6 +35,18 @@ struct TexturedQuad {
   }
 };
 
+/// The ray-independent terms of one quad's intersection test, computed
+/// once when the quad is added and shared by every ray.
+struct QuadRayTerms {
+  Vec3 origin;
+  Vec3 edge_u;
+  Vec3 edge_v;
+  Vec3 n;           ///< edge_u × edge_v (unnormalized plane normal)
+  Vec3 unit_n;      ///< n.normalized(), i.e. TexturedQuad::normal()
+  double uu = 0;    ///< |edge_u|²
+  double vv = 0;    ///< |edge_v|²
+};
+
 class World {
  public:
   /// Registers a texture; returns its index.
@@ -48,6 +60,10 @@ class World {
                    int scene_id = kBackgroundScene, std::string name = {});
 
   const std::vector<TexturedQuad>& quads() const noexcept { return quads_; }
+  /// Cached intersection terms, parallel to quads().
+  const std::vector<QuadRayTerms>& ray_terms() const noexcept {
+    return ray_terms_;
+  }
   const ImageF& texture(std::size_t id) const { return textures_.at(id); }
   std::size_t texture_count() const noexcept { return textures_.size(); }
 
@@ -60,6 +76,7 @@ class World {
  private:
   std::vector<ImageF> textures_;
   std::vector<TexturedQuad> quads_;
+  std::vector<QuadRayTerms> ray_terms_;
 };
 
 /// First quad intersection along a ray.
@@ -69,7 +86,25 @@ struct RayHit {
   double u = 0, v = 0;    ///< texture coordinates in [0,1]
 };
 
+/// Nearest-hit caster for rays leaving one origin (a camera centre). It
+/// holds each quad's origin-dependent plane numerator (q.origin − origin)·n,
+/// so a frame's rays share it; the per-quad terms come from the world.
+/// Holds a reference to `world`, which must outlive it and stay unmodified.
+class RayCaster {
+ public:
+  RayCaster(const World& world, Vec3 origin);
+
+  /// Cast `origin + t*dir` against every quad; nearest hit with t > t_min.
+  std::optional<RayHit> cast(Vec3 dir, double t_min = 1e-6) const;
+
+ private:
+  const std::vector<QuadRayTerms>& terms_;
+  Vec3 origin_;
+  std::vector<double> numerators_;  ///< (q.origin − origin)·n per quad
+};
+
 /// Cast `origin + t*dir` against every quad; nearest hit with t > t_min.
+/// One-ray shorthand for RayCaster(world, origin).cast(dir, t_min).
 std::optional<RayHit> raycast(const World& world, Vec3 origin, Vec3 dir,
                               double t_min = 1e-6);
 

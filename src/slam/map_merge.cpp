@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace vp {
 
 MapMergeResult merge_snapshots(std::span<const Snapshot> snapshots,
                                const MapMergeConfig& cfg) {
+  VP_OBS_SPAN("map_merge.icp");
   MapMergeResult result;
   result.corrected_poses.reserve(snapshots.size());
 
@@ -18,6 +20,10 @@ MapMergeResult merge_snapshots(std::span<const Snapshot> snapshots,
     return result;
   }
 
+  // One neighbour grid grows with the reference map instead of a fresh
+  // grid being built for each ICP call; its cells keep ascending index
+  // order, so matches equal those of a freshly built grid.
+  PointGrid map(icp_grid_cell(cfg.icp));
   double err_sum = 0;
   for (std::size_t i = 0; i < snapshots.size(); ++i) {
     const auto& snap = snapshots[i];
@@ -27,7 +33,7 @@ MapMergeResult merge_snapshots(std::span<const Snapshot> snapshots,
       result.corrected_poses.push_back(pose);
     } else {
       const auto cloud = snapshot_point_cloud(snap, pose, cfg.cloud_stride);
-      const IcpResult icp = icp_align(cloud, result.map_points, cfg.icp);
+      const IcpResult icp = icp_align(cloud, map, cfg.icp);
       const Pose corrected = icp.transform * pose;
       const double moved =
           (corrected.translation - pose.translation).norm();
@@ -47,16 +53,16 @@ MapMergeResult merge_snapshots(std::span<const Snapshot> snapshots,
       result.corrected_poses.push_back(pose);
     }
     // Grow the reference map with the (corrected) snapshot cloud.
-    if (result.map_points.size() < cfg.max_map_points) {
+    if (map.size() < cfg.max_map_points) {
       auto cloud = snapshot_point_cloud(snapshots[i],
                                         result.corrected_poses.back(),
                                         cfg.cloud_stride);
-      const std::size_t room = cfg.max_map_points - result.map_points.size();
+      const std::size_t room = cfg.max_map_points - map.size();
       if (cloud.size() > room) cloud.resize(room);
-      result.map_points.insert(result.map_points.end(), cloud.begin(),
-                               cloud.end());
+      map.add(cloud);
     }
   }
+  result.map_points = map.points();
   if (result.snapshots_corrected > 0) {
     result.mean_icp_error =
         err_sum / static_cast<double>(result.snapshots_corrected);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -46,6 +47,7 @@ std::vector<KeypointMapping> extract_mappings(
     const MappingConfig& cfg) {
   VP_REQUIRE(snapshots.size() == poses.size(),
              "extract_mappings: pose count mismatch");
+  VP_OBS_SPAN("mapping.extract");
 
   // With a pool, fan out over snapshots (the coarse grain: one SIFT run
   // each) and disable intra-SIFT threading — the outer fan-out already

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 
 namespace vp {
@@ -35,6 +36,7 @@ std::vector<Vec3> plan_path(const World& world, const WardriveConfig& cfg) {
 
 std::vector<Snapshot> wardrive(const World& world, const WardriveConfig& cfg,
                                Rng& rng) {
+  VP_OBS_SPAN("wardrive.capture");
   const auto stops = plan_path(world, cfg);
   std::vector<Snapshot> snaps;
   snaps.reserve(stops.size() * static_cast<std::size_t>(cfg.views_per_stop));

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 
 #include "geometry/angles.hpp"
@@ -338,6 +342,280 @@ TEST(PointGrid, FindsNearest) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 1u);
   EXPECT_FALSE(grid.nearest({100, 100, 100}, 2.0).has_value());
+}
+
+// --- Reference grid and ICP ----------------------------------------------
+// PointGrid and icp_align as they were before the grid hashed its cells and
+// ICP reused its error-pass searches: 27 lower_bounds over every
+// (cell, index) pair per query, and two searches per point per iteration.
+// The current code must reproduce them bit for bit, ties included.
+
+class ReferenceGrid {
+ public:
+  ReferenceGrid(std::span<const Vec3> points, double cell)
+      : points_(points.begin(), points.end()), cell_(cell) {
+    for (std::size_t i = 0; i < points_.size(); ++i) {
+      sorted_.emplace_back(key_of(points_[i]), static_cast<std::uint32_t>(i));
+    }
+    std::sort(sorted_.begin(), sorted_.end());
+  }
+
+  std::optional<std::size_t> nearest(Vec3 query, double max_dist) const {
+    if (points_.empty()) return std::nullopt;
+    const auto cx = static_cast<std::int64_t>(std::floor(query.x / cell_));
+    const auto cy = static_cast<std::int64_t>(std::floor(query.y / cell_));
+    const auto cz = static_cast<std::int64_t>(std::floor(query.z / cell_));
+    const auto reach = static_cast<std::int64_t>(std::ceil(max_dist / cell_));
+    double best_d2 = max_dist * max_dist;
+    std::optional<std::size_t> best;
+    for (std::int64_t dx = -reach; dx <= reach; ++dx) {
+      for (std::int64_t dy = -reach; dy <= reach; ++dy) {
+        for (std::int64_t dz = -reach; dz <= reach; ++dz) {
+          const std::uint64_t key = pack(cx + dx, cy + dy, cz + dz);
+          auto it = std::lower_bound(sorted_.begin(), sorted_.end(),
+                                     std::make_pair(key, std::uint32_t{0}));
+          for (; it != sorted_.end() && it->first == key; ++it) {
+            const double d2 = (points_[it->second] - query).norm2();
+            if (d2 < best_d2) {
+              best_d2 = d2;
+              best = it->second;
+            }
+          }
+        }
+      }
+    }
+    return best;
+  }
+
+ private:
+  static std::uint64_t pack(std::int64_t x, std::int64_t y, std::int64_t z) {
+    constexpr std::int64_t kBias = 1 << 20;
+    const auto ux = static_cast<std::uint64_t>(x + kBias) & 0x1FFFFF;
+    const auto uy = static_cast<std::uint64_t>(y + kBias) & 0x1FFFFF;
+    const auto uz = static_cast<std::uint64_t>(z + kBias) & 0x1FFFFF;
+    return (ux << 42) | (uy << 21) | uz;
+  }
+  std::uint64_t key_of(Vec3 p) const {
+    return pack(static_cast<std::int64_t>(std::floor(p.x / cell_)),
+                static_cast<std::int64_t>(std::floor(p.y / cell_)),
+                static_cast<std::int64_t>(std::floor(p.z / cell_)));
+  }
+
+  std::vector<Vec3> points_;
+  double cell_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> sorted_;
+};
+
+IcpResult reference_icp(std::span<const Vec3> source,
+                        std::span<const Vec3> target,
+                        const IcpConfig& config) {
+  IcpResult result;
+  if (source.empty() || target.empty()) return result;
+  const ReferenceGrid grid(target,
+                           std::max(0.25, config.max_correspondence_dist));
+  std::vector<Vec3> current(source.begin(), source.end());
+  double prev_error = std::numeric_limits<double>::max();
+  Pose total{};
+  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
+    std::vector<std::pair<Vec3, Vec3>> pairs;
+    for (const Vec3& p : current) {
+      if (auto idx = grid.nearest(p, config.max_correspondence_dist)) {
+        pairs.emplace_back(p, target[*idx]);
+      }
+    }
+    result.correspondences = pairs.size();
+    if (pairs.size() < config.min_correspondences) return result;
+    if (config.trim_fraction < 1.0 && pairs.size() > 16) {
+      const auto keep = std::max<std::size_t>(
+          config.min_correspondences,
+          static_cast<std::size_t>(static_cast<double>(pairs.size()) *
+                                   config.trim_fraction));
+      std::nth_element(pairs.begin(),
+                       pairs.begin() + static_cast<std::ptrdiff_t>(keep - 1),
+                       pairs.end(), [](const auto& a, const auto& b) {
+                         return (a.first - a.second).norm2() <
+                                (b.first - b.second).norm2();
+                       });
+      pairs.resize(keep);
+    }
+    Vec3 cs, ct;
+    for (const auto& [s, t] : pairs) {
+      cs += s;
+      ct += t;
+    }
+    cs = cs / static_cast<double>(pairs.size());
+    ct = ct / static_cast<double>(pairs.size());
+    Mat3 r;
+    if (config.planar) {
+      double num = 0, den = 0;
+      for (const auto& [s, t] : pairs) {
+        const double sx = s.x - cs.x, sy = s.y - cs.y;
+        const double tx = t.x - ct.x, ty = t.y - ct.y;
+        num += sx * ty - sy * tx;
+        den += sx * tx + sy * ty;
+      }
+      r = rotation_zyx(std::atan2(num, den), 0, 0);
+    } else {
+      Mat3 corr{{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}};
+      for (const auto& [s, t] : pairs) {
+        const Vec3 a = t - ct;
+        const Vec3 b = s - cs;
+        corr.m[0][0] += a.x * b.x; corr.m[0][1] += a.x * b.y; corr.m[0][2] += a.x * b.z;
+        corr.m[1][0] += a.y * b.x; corr.m[1][1] += a.y * b.y; corr.m[1][2] += a.y * b.z;
+        corr.m[2][0] += a.z * b.x; corr.m[2][1] += a.z * b.y; corr.m[2][2] += a.z * b.z;
+      }
+      r = horn_rotation(corr);
+    }
+    const Pose step{r, ct - r * cs};
+    for (auto& p : current) p = step.to_world(p);
+    total = step * total;
+    double err = 0;
+    std::size_t matched = 0;
+    for (const Vec3& p : current) {
+      if (auto idx = grid.nearest(p, config.max_correspondence_dist)) {
+        err += (target[*idx] - p).norm();
+        ++matched;
+      }
+    }
+    err = matched ? err / static_cast<double>(matched) : prev_error;
+    result.iterations = iter + 1;
+    result.mean_error = err;
+    if (std::abs(prev_error - err) < config.convergence_delta) {
+      result.converged = true;
+      break;
+    }
+    prev_error = err;
+  }
+  result.transform = total;
+  if (result.iterations == config.max_iterations) result.converged = true;
+  return result;
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+void expect_same_icp(const IcpResult& got, const IcpResult& want) {
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_EQ(bits(got.transform.rotation.m[i][j]),
+                bits(want.transform.rotation.m[i][j]));
+    }
+  }
+  EXPECT_EQ(bits(got.transform.translation.x),
+            bits(want.transform.translation.x));
+  EXPECT_EQ(bits(got.transform.translation.y),
+            bits(want.transform.translation.y));
+  EXPECT_EQ(bits(got.transform.translation.z),
+            bits(want.transform.translation.z));
+  EXPECT_EQ(bits(got.mean_error), bits(want.mean_error));
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.correspondences, want.correspondences);
+  EXPECT_EQ(got.converged, want.converged);
+}
+
+TEST(PointGrid, MatchesReferenceIncludingTies) {
+  Rng rng(41);
+  for (const double cell : {0.25, 0.5, 1.0}) {
+    // A lattice on exact multiples of the cell (points on cell
+    // boundaries), its duplicates, and random points between.
+    std::vector<Vec3> pts;
+    for (int x = -3; x <= 3; ++x) {
+      for (int y = -3; y <= 3; ++y) {
+        for (int z = 0; z <= 2; ++z) {
+          pts.push_back({x * cell, y * cell, z * cell});
+        }
+      }
+    }
+    const std::size_t lattice = pts.size();
+    for (std::size_t i = 0; i < lattice; i += 3) pts.push_back(pts[i]);
+    for (int i = 0; i < 600; ++i) {
+      pts.push_back({rng.uniform(-1, 1), rng.uniform(-1, 1),
+                     rng.uniform(-0.2, 0.7)});
+    }
+    const ReferenceGrid ref(pts, cell);
+    const PointGrid grid(pts, cell);
+    // The same points grown in uneven chunks must answer identically.
+    PointGrid grown(cell);
+    for (std::size_t at = 0; at < pts.size();) {
+      const std::size_t n = std::min<std::size_t>(pts.size() - at,
+                                                  1 + at % 97);
+      grown.add(std::span<const Vec3>(pts).subspan(at, n));
+      at += n;
+    }
+    ASSERT_EQ(grown.size(), pts.size());
+
+    std::vector<Vec3> queries;
+    for (int i = 0; i < 800; ++i) {
+      queries.push_back({rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2),
+                         rng.uniform(-0.4, 0.9)});
+    }
+    // Midpoints between lattice neighbours sit exactly on cell boundaries
+    // and are equidistant from points in different cells.
+    for (int x = -3; x < 3; ++x) {
+      for (int y = -3; y < 3; ++y) {
+        queries.push_back({(x + 0.5) * cell, y * cell, 0});
+        queries.push_back({x * cell, (y + 0.5) * cell, cell});
+        queries.push_back({(x + 0.5) * cell, (y + 0.5) * cell, 0.5 * cell});
+      }
+    }
+    for (const Vec3& q : pts) queries.push_back(q);  // exact duplicates
+    for (const double max_dist : {0.1, cell, 2.5 * cell}) {
+      for (const Vec3& q : queries) {
+        const auto want = ref.nearest(q, max_dist);
+        EXPECT_EQ(grid.nearest(q, max_dist), want);
+        EXPECT_EQ(grown.nearest(q, max_dist), want);
+      }
+    }
+  }
+}
+
+TEST(Icp, MatchesReferenceBitForBit) {
+  Rng rng(43);
+  // An L-shaped room corner: floor plus two walls.
+  std::vector<Vec3> target;
+  for (int i = 0; i < 900; ++i) {
+    switch (i % 3) {
+      case 0: target.push_back({rng.uniform(0, 6), rng.uniform(0, 4), 0}); break;
+      case 1: target.push_back({rng.uniform(0, 6), 0, rng.uniform(0, 3)}); break;
+      default: target.push_back({0, rng.uniform(0, 4), rng.uniform(0, 3)});
+    }
+  }
+  const Pose drift = Pose::from_euler({0.15, -0.1, 0.02}, 0.04, 0.0, 0.0);
+  const Pose inv = drift.inverse();
+  std::vector<Vec3> full, partial;
+  for (const auto& p : target) {
+    const Vec3 noisy = p + Vec3{rng.gaussian(0, 0.01), rng.gaussian(0, 0.01),
+                                rng.gaussian(0, 0.01)};
+    full.push_back(inv.to_world(noisy));
+    if (p.x < 3.5) partial.push_back(inv.to_world(noisy));
+  }
+  for (int i = 0; i < 80; ++i) {  // outliers beyond the map
+    partial.push_back({rng.uniform(7, 9), rng.uniform(-1, 5), 1});
+  }
+
+  struct Case {
+    const char* name;
+    const std::vector<Vec3>* source;
+    IcpConfig cfg;
+  };
+  const Case cases[] = {
+      {"full", &full, IcpConfig{}},
+      {"full-untrimmed", &full, IcpConfig{.trim_fraction = 1.0}},
+      {"partial", &partial, IcpConfig{.max_correspondence_dist = 0.75}},
+      {"partial-trimmed", &partial,
+       IcpConfig{.max_correspondence_dist = 0.75, .trim_fraction = 0.5}},
+      {"full-6dof", &full, IcpConfig{.planar = false}},
+      {"few-matches", &partial,
+       IcpConfig{.max_correspondence_dist = 0.1, .min_correspondences = 500}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const IcpResult want = reference_icp(*c.source, target, c.cfg);
+    expect_same_icp(icp_align(*c.source, target, c.cfg), want);
+    PointGrid grid(icp_grid_cell(c.cfg));
+    grid.add(std::span<const Vec3>(target).first(300));
+    grid.add(std::span<const Vec3>(target).subspan(300));
+    expect_same_icp(icp_align(*c.source, grid, c.cfg), want);
+  }
 }
 
 TEST(Icp, RecoversSmallRigidTransform) {

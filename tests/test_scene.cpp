@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <optional>
 
+#include "imaging/filters.hpp"
 #include "scene/environments.hpp"
 #include "scene/render.hpp"
 #include "scene/texture.hpp"
@@ -108,6 +113,203 @@ TEST(Raycast, MissesOutsideQuad) {
                 wall_texture(16, 16, 150, rng));
   EXPECT_FALSE(raycast(w, {10, 0, 0}, {0, 1, 0}).has_value());
   EXPECT_FALSE(raycast(w, {0, 0, 0}, {0, -1, 0}).has_value());  // behind
+}
+
+// --- Reference raycast/render --------------------------------------------
+// The loops as they were before the per-quad terms were cached and the
+// plane numerator and focal length hoisted per frame: every term is
+// recomputed per ray. The cached caster must reproduce them bit for bit.
+
+std::optional<RayHit> reference_raycast(const World& world, Vec3 origin,
+                                        Vec3 dir, double t_min = 1e-6) {
+  std::optional<RayHit> best;
+  for (std::size_t qi = 0; qi < world.quads().size(); ++qi) {
+    const auto& q = world.quads()[qi];
+    const Vec3 n = q.edge_u.cross(q.edge_v);
+    const double denom = dir.dot(n);
+    if (std::abs(denom) < 1e-12) continue;  // parallel
+    const double t = (q.origin - origin).dot(n) / denom;
+    if (t <= t_min) continue;
+    if (best && t >= best->t) continue;
+    const Vec3 p = origin + dir * t;
+    const Vec3 rel = p - q.origin;
+    const double uu = q.edge_u.norm2();
+    const double vv = q.edge_v.norm2();
+    const double u = rel.dot(q.edge_u) / uu;
+    const double v = rel.dot(q.edge_v) / vv;
+    if (u < 0 || u > 1 || v < 0 || v > 1) continue;
+    best = RayHit{t, qi, u, v};
+  }
+  return best;
+}
+
+float reference_sample(const ImageF& tex, double u, double v) {
+  const double fx = u * (tex.width() - 1);
+  const double fy = v * (tex.height() - 1);
+  const int x0 = static_cast<int>(std::floor(fx));
+  const int y0 = static_cast<int>(std::floor(fy));
+  const float tx = static_cast<float>(fx - x0);
+  const float ty = static_cast<float>(fy - y0);
+  const float p00 = tex.at_clamped(x0, y0);
+  const float p10 = tex.at_clamped(x0 + 1, y0);
+  const float p01 = tex.at_clamped(x0, y0 + 1);
+  const float p11 = tex.at_clamped(x0 + 1, y0 + 1);
+  return (1 - ty) * ((1 - tx) * p00 + tx * p10) +
+         ty * ((1 - tx) * p01 + tx * p11);
+}
+
+RenderOutput reference_render(const World& world, const Camera& camera,
+                              const RenderOptions& options, Rng& rng) {
+  const auto& cam = camera.intrinsics;
+  RenderOutput out;
+  out.image = ImageF(cam.width, cam.height, 1, options.background);
+  const bool depth = options.want_depth;
+  const int dw = depth ? std::max(1, cam.width / options.depth_downscale) : 0;
+  const int dh = depth ? std::max(1, cam.height / options.depth_downscale) : 0;
+  if (depth) out.depth = ImageF(dw, dh, 1, 0.0f);
+  const Vec3 origin = camera.pose.translation;
+  for (int y = 0; y < cam.height; ++y) {
+    for (int x = 0; x < cam.width; ++x) {
+      const Vec3 dir = camera.world_ray({x + 0.5, y + 0.5});
+      const auto hit = reference_raycast(world, origin, dir);
+      if (!hit) continue;
+      const auto& quad = world.quads()[hit->quad];
+      const float albedo =
+          reference_sample(world.texture(quad.texture), hit->u, hit->v);
+      const double facing = std::abs(dir.dot(quad.normal()));
+      const double light = options.ambient + (1.0 - options.ambient) * facing;
+      const double falloff =
+          1.0 / (1.0 + options.distance_falloff * hit->t * hit->t);
+      out.image(x, y) = static_cast<float>(
+          std::clamp(albedo * light * falloff, 0.0, 255.0));
+    }
+  }
+  if (depth) {
+    for (int y = 0; y < dh; ++y) {
+      for (int x = 0; x < dw; ++x) {
+        const Vec2 px{(x + 0.5) * options.depth_downscale,
+                      (y + 0.5) * options.depth_downscale};
+        const Vec3 dir = camera.world_ray(px);
+        if (const auto hit = reference_raycast(world, origin, dir)) {
+          out.depth(x, y) = static_cast<float>(hit->t);
+        }
+      }
+    }
+  }
+  if (options.motion_blur_px >= 1.0) {
+    out.image = motion_blur(out.image, options.motion_dir.x,
+                            options.motion_dir.y, options.motion_blur_px);
+  }
+  if (options.noise_stddev > 0) {
+    add_gaussian_noise(out.image, options.noise_stddev, rng);
+  }
+  return out;
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// Same hit or same miss, compared bit for bit.
+void expect_same_hit(const std::optional<RayHit>& got,
+                     const std::optional<RayHit>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!want) return;
+  EXPECT_EQ(got->quad, want->quad);
+  EXPECT_EQ(bits(got->t), bits(want->t));
+  EXPECT_EQ(bits(got->u), bits(want->u));
+  EXPECT_EQ(bits(got->v), bits(want->v));
+}
+
+void expect_same_pixels(const ImageF& got, const ImageF& want) {
+  ASSERT_EQ(got.width(), want.width());
+  ASSERT_EQ(got.height(), want.height());
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < want.pixels().size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(got.pixels()[i]) !=
+        std::bit_cast<std::uint32_t>(want.pixels()[i])) {
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0u);
+}
+
+TEST(RayCaster, MatchesReferenceOnRandomRays) {
+  // Random oblique quads plus axis-aligned ones with exactly representable
+  // corners, so rays can land exactly on u or v = 0 or 1.
+  World w;
+  Rng rng(31);
+  const auto tex = [&] { return wall_texture(8, 8, 150, rng); };
+  w.add_surface({0, 4, 0}, {2, 0, 0}, {0, 0, 2}, tex());
+  w.add_surface({0, 4, 0}, {2, 0, 0}, {0, 0, 2}, tex());  // coincident twin
+  w.add_surface({-3, -1, -1}, {0, 2, 0}, {0, 0, 4}, tex());
+  w.add_surface({-2, -2, -1}, {4, 0, 0}, {0, 4, 0}, tex());  // floor z = -1
+  for (int i = 0; i < 12; ++i) {
+    const Vec3 u{rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-1, 1)};
+    Vec3 v = u.cross(Vec3{rng.uniform(-1, 1), rng.uniform(-1, 1), 1});
+    v = v.normalized() * rng.uniform(0.5, 3);
+    w.add_surface({rng.uniform(-6, 6), rng.uniform(-6, 6), rng.uniform(-3, 3)},
+                  u, v, tex());
+  }
+
+  const Vec3 origin{1, 0, 1};
+  for (int i = 0; i < 4000; ++i) {
+    const Vec3 dir = Vec3{rng.uniform(-1, 1), rng.uniform(-1, 1),
+                          rng.uniform(-1, 1)}.normalized();
+    expect_same_hit(raycast(w, origin, dir), reference_raycast(w, origin, dir));
+  }
+
+  const RayCaster caster(w, origin);
+  std::vector<Vec3> dirs = {
+      {1, 0, 0}, {0, 0, 1},  // parallel to quads 0/1 and to the floor
+      {-1, 4, -1}, {1, 4, -1}, {-1, 4, 1}, {1, 4, 1},  // corners of quad 0
+      {0, 4, -1}, {0, 4, 1}, {-1, 4, 0}, {1, 4, 0},    // its edge midpoints
+      {0, 1, 0},                                       // its centre
+      {-3, -1, -2}, {-3, -2, -2}, {1, 2, -2}, {1, -2, -2},  // floor rim
+  };
+  for (const Vec3& d : dirs) {
+    for (const Vec3 dir : {d, d.normalized()}) {
+      expect_same_hit(raycast(w, origin, dir),
+                      reference_raycast(w, origin, dir));
+      expect_same_hit(caster.cast(dir), reference_raycast(w, origin, dir));
+    }
+  }
+  // The twin quads tie on t: the lower index must win, as before.
+  const auto twin = caster.cast({0, 1, 0});
+  ASSERT_TRUE(twin.has_value());
+  EXPECT_EQ(twin->quad, 0u);
+  // t_min ties: quad 0 sits exactly at t = 4 along +y, the floor at t = 2
+  // along -z; a hit at exactly t_min is rejected.
+  for (const double t_min : {0.0, 1e-6, 2.0, 4.0, 4.5}) {
+    for (const Vec3 dir : {Vec3{0, 1, 0}, Vec3{0, 0, -1}, Vec3{0, 4, -1}}) {
+      expect_same_hit(caster.cast(dir, t_min),
+                      reference_raycast(w, origin, dir, t_min));
+    }
+  }
+}
+
+TEST(Render, MatchesReferenceOnOfficeFrames) {
+  Rng world_rng(2016);
+  const World w = build_office(
+      RoomConfig{.width = 18, .depth = 10, .height = 3, .num_scenes = 6},
+      world_rng);
+  const CameraIntrinsics intr{160, 120, 1.15192};
+  RenderOptions opts;
+  opts.want_depth = true;
+  const struct {
+    Vec3 from, to;
+    double blur;
+  } views[] = {{{2, 2, 1.5}, {10, 8, 1.2}, 0.0},
+               {{15, 5, 1.4}, {1, 5, 1.7}, 3.0},
+               {{9, 1, 1.6}, {9, 9, 0.4}, 0.0},
+               {{4, 8, 1.5}, {4, 2, 2.9}, 1.5}};
+  for (const auto& view : views) {
+    const Camera cam = look_at(intr, view.from, view.to);
+    opts.motion_blur_px = view.blur;
+    Rng a(7), b(7);
+    const RenderOutput got = render(w, cam, opts, a);
+    const RenderOutput want = reference_render(w, cam, opts, b);
+    expect_same_pixels(got.image, want.image);
+    expect_same_pixels(got.depth, want.depth);
+  }
 }
 
 TEST(LookAt, TargetProjectsToImageCenter) {
