@@ -124,6 +124,10 @@ FrameResult VisualPrintClient::process_frame(const ImageF& frame,
     return result;
   }
 
+  // At most top_k keypoints: select_features returns them all unscored.
+  if (features.size() <= config_.top_k) {
+    VP_OBS_COUNT("client.frames_select_skipped", 1);
+  }
   Timer score_timer;
   std::vector<Feature> selected;
   {

@@ -40,7 +40,7 @@ struct PlaceShard;
 class ShardResidencyManager {
  public:
   /// Parses one registered shard out of its database file. Captures the
-  /// MappedFile shared_ptr and the parsed v4 record, so it stays valid
+  /// MappedFile shared_ptr and the parsed record, so it stays valid
   /// independent of the store. Must be thread-compatible: at most one
   /// invocation per place at a time (the single-flight guarantee),
   /// arbitrary places concurrently.

@@ -151,7 +151,7 @@ class VisualPrintServer {
   /// resident memory.
   void save(const std::string& path) const;
   /// Restore a saved database. Default options load every shard eagerly
-  /// (v4 files borrow their bulk segments from the mmap'd file);
+  /// (database files borrow their bulk segments from the mmap'd file);
   /// opts.lazy registers shards cold for first-query fault-in under
   /// opts.resident_budget.
   static VisualPrintServer load(const std::string& path,

@@ -5,8 +5,11 @@
 // projection family is seeded — so the file stays far smaller than
 // resident memory.
 //
-// Format v4 (tiered residency): a compact header region followed by
-// page-aligned bulk segments.
+// Format v5 (tiered residency): a compact header region followed by
+// page-aligned bulk segments. v5 is v4's layout with the sparse oracle
+// blob (VPOR v2, see hashing/oracle.hpp) in place of the bit-packed one;
+// the version bump makes a v4 file fail when it is registered, not at its
+// first lazy fault-in.
 //
 //   header: magic, version, total file size (u64, so any truncation is
 //           caught before touching segment offsets), default place,
@@ -14,7 +17,8 @@
 //             place id
 //             meta blob   (zlib: label, index config, epoch,
 //                          oracle version, keypoint count, pq flag)
-//             oracle blob (zlib; embeds its own configuration)
+//             oracle blob (zlib'd UniquenessOracle::serialize(); embeds
+//                          its own configuration)
 //             codebook blob (zlib'd 32 KiB PQ codebook, empty sans PQ)
 //             segment directory: {kind u8, offset u64, length u64,
 //                                 crc32 u32} per segment
@@ -32,7 +36,7 @@
 // inflate, and a bucket rebuild — never a descriptor copy. See
 // core/residency.hpp for the lazy-load/LRU machinery layered on top.
 //
-// v4 is the only format written or read: any other version throws
+// v5 is the only format written or read: any other version throws
 // DecodeError. A database saved in an earlier format must be rebuilt by
 // wardriving the place again.
 #include <algorithm>
@@ -51,7 +55,7 @@ namespace vp {
 namespace {
 
 constexpr std::uint32_t kDbMagic = 0x56504442u;  // "VPDB"
-constexpr std::uint16_t kDbVersion = 4;
+constexpr std::uint16_t kDbVersion = 5;
 
 /// Stored-keypoint segment stride: position + labels only (descriptors
 /// live in their own flat segment so they can be mmap-borrowed).
@@ -103,7 +107,7 @@ void read_index_config(ByteReader& r, ServerConfig& cfg) {
 }
 
 // ---------------------------------------------------------------------------
-// v4 writer
+// writer
 
 struct SegmentRef {
   std::uint8_t kind = 0;
@@ -112,7 +116,7 @@ struct SegmentRef {
   std::uint32_t crc = 0;
 };
 
-Bytes serialize_v4(std::span<const std::shared_ptr<const PlaceShard>> shards,
+Bytes write_db(std::span<const std::shared_ptr<const PlaceShard>> shards,
                    const std::string& default_place) {
   struct Plan {
     const PlaceShard* shard = nullptr;
@@ -224,11 +228,11 @@ Bytes serialize_v4(std::span<const std::shared_ptr<const PlaceShard>> shards,
 }
 
 // ---------------------------------------------------------------------------
-// v4 reader
+// reader
 
-/// One shard's parsed v4 record: everything needed to rebuild the shard,
+/// One shard's parsed record: everything needed to rebuild the shard,
 /// with the bulk payloads still sitting in the backing bytes as spans.
-struct ShardRecordV4 {
+struct ShardRecord {
   std::string place;
   ServerConfig cfg;  ///< label + index config (oracle config set at load)
   std::uint32_t epoch = 0;
@@ -239,15 +243,15 @@ struct ShardRecordV4 {
   SegmentRef descriptors, keypoints, codes;
 };
 
-struct ParsedV4 {
+struct DbHeader {
   std::string default_place;
-  std::vector<ShardRecordV4> shards;
+  std::vector<ShardRecord> shards;
 };
 
-ShardRecordV4 parse_v4_record(std::span<const std::uint8_t> rec_bytes,
+ShardRecord parse_record(std::span<const std::uint8_t> rec_bytes,
                               std::size_t file_size) {
   ByteReader r(rec_bytes);
-  ShardRecordV4 rec;
+  ShardRecord rec;
   rec.place = r.str();
   const auto meta_z = r.blob();
   rec.oracle_z = r.blob();
@@ -306,7 +310,7 @@ ShardRecordV4 parse_v4_record(std::span<const std::uint8_t> rec_bytes,
   return rec;
 }
 
-ParsedV4 parse_v4(std::span<const std::uint8_t> data) {
+DbHeader parse_header(std::span<const std::uint8_t> data) {
   ByteReader r(data);
   if (r.u32() != kDbMagic) throw DecodeError{"server db: bad magic"};
   if (r.u16() != kDbVersion) throw DecodeError{"server db: bad version"};
@@ -315,12 +319,12 @@ ParsedV4 parse_v4(std::span<const std::uint8_t> data) {
     throw DecodeError{"server db: header claims " + std::to_string(file_size) +
                       " bytes, file has " + std::to_string(data.size())};
   }
-  ParsedV4 db;
+  DbHeader db;
   db.default_place = r.str();
   const std::uint32_t shard_count = r.u32();
   db.shards.reserve(std::min<std::size_t>(shard_count, 1024));
   for (std::uint32_t i = 0; i < shard_count; ++i) {
-    db.shards.push_back(parse_v4_record(r.blob(), data.size()));
+    db.shards.push_back(parse_record(r.blob(), data.size()));
   }
   // The reader now sits at the end of the header region; everything after
   // it is alignment padding plus the directory-addressed segments, already
@@ -328,13 +332,13 @@ ParsedV4 parse_v4(std::span<const std::uint8_t> data) {
   return db;
 }
 
-/// Rebuild one shard from its parsed v4 record. With a `keepalive` (the
+/// Rebuild one shard from its parsed record. With a `keepalive` (the
 /// mmap'd file, or any owner of `file`) the descriptor and code segments
 /// are borrowed in place; without one they are copied. Verifies every
 /// segment's crc32 — corruption throws DecodeError before any state can
 /// be observed by callers.
-std::unique_ptr<PlaceShard> load_v4_shard(
-    const ShardRecordV4& rec, std::span<const std::uint8_t> file,
+std::unique_ptr<PlaceShard> load_shard(
+    const ShardRecord& rec, std::span<const std::uint8_t> file,
     std::shared_ptr<const void> keepalive) {
   const auto segment = [&](const SegmentRef& seg) {
     const auto data = file.subspan(static_cast<std::size_t>(seg.offset),
@@ -389,12 +393,12 @@ struct ParsedDb {
 /// segments in place instead of copying.
 ParsedDb parse_db(std::span<const std::uint8_t> data,
                   std::shared_ptr<const void> keepalive) {
-  ParsedV4 v4 = parse_v4(data);
+  DbHeader header = parse_header(data);
   ParsedDb db;
-  db.default_place = std::move(v4.default_place);
-  db.shards.reserve(v4.shards.size());
-  for (const ShardRecordV4& rec : v4.shards) {
-    db.shards.push_back(load_v4_shard(rec, data, keepalive));
+  db.default_place = std::move(header.default_place);
+  db.shards.reserve(header.shards.size());
+  for (const ShardRecord& rec : header.shards) {
+    db.shards.push_back(load_shard(rec, data, keepalive));
   }
   return db;
 }
@@ -410,10 +414,10 @@ struct LazyDb {
 /// over the shared mapping. No descriptor, oracle, or code payload is
 /// touched: one header-region scan plus one small meta inflate per shard.
 LazyDb parse_lazy_db(const std::shared_ptr<const MappedFile>& mapping) {
-  ParsedV4 v4 = parse_v4(mapping->bytes());
+  DbHeader header = parse_header(mapping->bytes());
   LazyDb db;
-  db.default_place = v4.default_place;
-  for (const ShardRecordV4& rec : v4.shards) {
+  db.default_place = header.default_place;
+  for (const ShardRecord& rec : header.shards) {
     if (rec.place == db.default_place) db.default_cfg = rec.cfg;
     ShardResidencyManager::Manifest m;
     m.place = rec.place;
@@ -425,9 +429,9 @@ LazyDb parse_lazy_db(const std::shared_ptr<const MappedFile>& mapping) {
     m.storage = rec.has_pq ? "pq" : "exact";
     // The record copy holds spans into the mapping; the captured mapping
     // keeps them (and the loaded shard's borrowed buffers) alive.
-    ShardRecordV4 rc = rec;
+    ShardRecord rc = rec;
     m.loader = [mapping, rc = std::move(rc)]() {
-      return load_v4_shard(rc, mapping->bytes(), mapping);
+      return load_shard(rc, mapping->bytes(), mapping);
     };
     db.manifests.push_back(std::move(m));
   }
@@ -441,7 +445,7 @@ Bytes VisualPrintServer::serialize() const {
   // shard in (pinning each via its returned shared_ptr), so a budget-
   // capped server still saves its complete database.
   const auto shards = store_->snapshots();
-  return serialize_v4(shards, store_->default_place());
+  return write_db(shards, store_->default_place());
 }
 
 VisualPrintServer VisualPrintServer::deserialize(

@@ -1,5 +1,6 @@
 #include "hashing/bloom.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -49,26 +50,33 @@ double BloomFilter::fill_ratio() const noexcept {
   return static_cast<double>(set_bit_count()) / static_cast<double>(bits_);
 }
 
-Bytes BloomFilter::serialize() const {
-  ByteWriter w(16 + words_.size() * 8);
-  w.u64(bits_);
-  for (auto word : words_) w.u64(word);
-  return w.take();
+void BloomFilter::write_sparse(ByteWriter& w) const {
+  w.varint(set_bit_count());
+  std::size_t next = 0;  // first bit not yet covered by a gap
+  for (std::size_t k = 0; k < words_.size(); ++k) {
+    for (std::uint64_t word = words_[k]; word != 0; word &= word - 1) {
+      const std::size_t bit =
+          k * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      w.varint(bit - next);
+      next = bit + 1;
+    }
+  }
 }
 
-BloomFilter BloomFilter::deserialize(ByteReader& r) {
-  const std::uint64_t bits = r.u64();
-  if (bits == 0 || bits % 64 != 0 || bits > (1ULL << 40)) {
-    throw DecodeError{"bloom filter: implausible bit count"};
+void BloomFilter::read_sparse(ByteReader& r) {
+  const std::uint64_t n = r.varint();
+  // Every set bit costs at least one gap byte.
+  if (n > bits_ || n > r.remaining()) {
+    throw DecodeError{"bloom filter: set-bit count exceeds payload"};
   }
-  // Validate against the remaining payload BEFORE allocating, so a
-  // corrupted header can never trigger a giant allocation.
-  if (r.remaining() < bits / 8) {
-    throw DecodeError{"bloom filter: payload shorter than header claims"};
+  std::uint64_t next = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t gap = r.varint();
+    if (gap >= bits_ - next) throw DecodeError{"bloom filter: gap past end"};
+    const std::uint64_t bit = next + gap;
+    words_[bit / 64] |= 1ULL << (bit % 64);
+    next = bit + 1;
   }
-  BloomFilter f(static_cast<std::size_t>(bits));
-  for (auto& word : f.words_) word = r.u64();
-  return f;
 }
 
 CountingBloomFilter::CountingBloomFilter(std::size_t counters,
@@ -135,30 +143,59 @@ double CountingBloomFilter::fill_ratio() const noexcept {
   return static_cast<double>(nonzero) / static_cast<double>(counters_);
 }
 
-Bytes CountingBloomFilter::serialize() const {
-  ByteWriter w(24 + words_.size() * 8);
-  w.u64(counters_);
-  w.u32(counter_bits_);
-  for (auto word : words_) w.u64(word);
-  return w.take();
+void CountingBloomFilter::write_sparse(ByteWriter& w) const {
+  // Only counters with a bit in a nonzero word can be nonzero, so zero
+  // words (most of a sparse filter) are skipped without unpacking.
+  std::vector<std::size_t> nonzero;
+  std::size_t unchecked = 0;  // counters below this index are done
+  for (std::size_t k = 0; k < words_.size(); ++k) {
+    if (words_[k] == 0) continue;
+    const std::size_t last =
+        std::min(counters_ - 1, ((k + 1) * 64 - 1) / counter_bits_);
+    for (std::size_t i = std::max(unchecked, k * 64 / counter_bits_);
+         i <= last; ++i) {
+      if (get(i) != 0) nonzero.push_back(i);
+    }
+    unchecked = last + 1;
+  }
+  w.varint(nonzero.size());
+  std::size_t next = 0;  // first counter not yet covered by a gap
+  for (const std::size_t i : nonzero) {
+    w.varint(i - next);
+    next = i + 1;
+  }
+  for (const std::size_t i : nonzero) w.varint(get(i) - 1);
 }
 
-CountingBloomFilter CountingBloomFilter::deserialize(ByteReader& r) {
-  const std::uint64_t counters = r.u64();
-  const std::uint32_t bits = r.u32();
-  if (counters == 0 || bits < 1 || bits > 16 || counters > (1ULL << 40)) {
-    throw DecodeError{"counting bloom: implausible header"};
+void CountingBloomFilter::read_sparse(ByteReader& r) {
+  const std::uint64_t n = r.varint();
+  // Every nonzero counter costs at least a gap byte and a value byte.
+  if (n > counters_ || n > r.remaining() / 2) {
+    throw DecodeError{"counting bloom: nonzero count exceeds payload"};
   }
-  const std::uint64_t words = (counters * bits + 63) / 64;
-  // Validate against the remaining payload BEFORE allocating, so a
-  // corrupted header can never trigger a giant allocation.
-  if (r.remaining() < words * 8) {
-    throw DecodeError{"counting bloom: payload shorter than header claims"};
+  // The gaps come first and the values after them, so walk the gaps once
+  // to validate them and find the values, then again in step with the
+  // values to fill the counters in place.
+  ByteReader gaps = r;
+  std::uint64_t next = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t gap = r.varint();
+    if (gap >= counters_ - next) {
+      throw DecodeError{"counting bloom: gap past end"};
+    }
+    next += gap + 1;
   }
-  CountingBloomFilter f(static_cast<std::size_t>(counters),
-                        static_cast<unsigned>(bits));
-  for (auto& word : f.words_) word = r.u64();
-  return f;
+  next = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint64_t index = next + gaps.varint();
+    const std::uint64_t value_minus_1 = r.varint();
+    if (value_minus_1 >= max_value_) {
+      throw DecodeError{"counting bloom: counter above saturation"};
+    }
+    put(static_cast<std::size_t>(index),
+        static_cast<std::uint32_t>(value_minus_1 + 1));
+    next = index + 1;
+  }
 }
 
 }  // namespace vp

@@ -16,6 +16,11 @@ namespace {
 constexpr std::uint32_t kPrimarySeedBase = 0x9d2c5680u;
 constexpr std::uint32_t kVerifySeed = 0x5f3759dfu;
 
+constexpr std::uint32_t kOracleMagic = 0x56504f52u;  // "VPOR"
+/// The only blob version read or written; docs/ORACLE.md "Serialized
+/// form" gives its layout.
+constexpr std::uint16_t kOracleVersion = 2;
+
 /// Little-endian bucket encoding into a reusable buffer; byte-compatible
 /// with E2Lsh::encode_bucket.
 void encode_bucket_into(const LshBucket& bucket, Bytes& out) {
@@ -60,8 +65,28 @@ std::size_t OracleConfig::effective_counters() const {
                                    fp_rate);
 }
 
+std::uint64_t OracleConfig::filter_bytes() const {
+  const std::uint64_t counters = effective_counters();
+  // Past 2^59 counters the product below could overflow (counter_bits is
+  // at most 16); no such filter could be allocated anyway.
+  if (counters > (~std::uint64_t{0} >> 5)) return ~std::uint64_t{0};
+  return (counters * counter_bits + 63) / 64 * 8 + (counters + 63) / 64 * 8;
+}
+
+namespace {
+
+/// `config`, once its filters are known to fit under kMaxOracleFilterBytes;
+/// checked before any member allocates.
+const OracleConfig& within_cap(const OracleConfig& config) {
+  VP_REQUIRE(config.filter_bytes() <= kMaxOracleFilterBytes,
+             "oracle filters exceed kMaxOracleFilterBytes");
+  return config;
+}
+
+}  // namespace
+
 UniquenessOracle::UniquenessOracle(OracleConfig config)
-    : config_(config),
+    : config_(within_cap(config)),
       lsh_(config.lsh.tables, config.lsh.projections, config.lsh.width,
            config.lsh.seed),
       primary_(config.effective_counters(), config.counter_bits),
@@ -195,8 +220,8 @@ std::size_t UniquenessOracle::byte_size() const noexcept {
 
 Bytes UniquenessOracle::serialize() const {
   ByteWriter w;
-  w.u32(0x56504f52u);  // "VPOR"
-  w.u16(1);            // version
+  w.u32(kOracleMagic);
+  w.u16(kOracleVersion);
   w.u16(static_cast<std::uint16_t>(config_.lsh.tables));
   w.u16(static_cast<std::uint16_t>(config_.lsh.projections));
   w.u16(static_cast<std::uint16_t>(config_.hashes));
@@ -210,18 +235,18 @@ Bytes UniquenessOracle::serialize() const {
   w.f64(config_.fp_rate);
   w.u64(config_.counters_override);
   w.u64(insertions_);
-  const Bytes p = primary_.serialize();
-  const Bytes v = verification_.serialize();
-  w.blob(p);
-  w.blob(v);
+  primary_.write_sparse(w);
+  verification_.write_sparse(w);
   return w.take();
 }
 
 UniquenessOracle UniquenessOracle::deserialize(
     std::span<const std::uint8_t> data) {
   ByteReader r(data);
-  if (r.u32() != 0x56504f52u) throw DecodeError{"oracle: bad magic"};
-  if (r.u16() != 1) throw DecodeError{"oracle: unsupported version"};
+  if (r.u32() != kOracleMagic) throw DecodeError{"oracle: bad magic"};
+  if (r.u16() != kOracleVersion) {
+    throw DecodeError{"oracle: unsupported version"};
+  }
   OracleConfig cfg;
   cfg.lsh.tables = r.u16();
   cfg.lsh.projections = r.u16();
@@ -237,36 +262,28 @@ UniquenessOracle UniquenessOracle::deserialize(
   cfg.counters_override = r.u64();
   const std::uint64_t insertions = r.u64();
 
-  // Reject implausible configurations before any allocation, and verify
-  // the payload actually carries the filter data the header implies: a
-  // flipped capacity/override byte must not trigger a giant allocation.
+  // Reject implausible configurations, and filters over
+  // kMaxOracleFilterBytes, before any allocation: a flipped capacity or
+  // override byte must not trigger a giant allocation. The blob's length
+  // cannot bound the filters: a sparse body is as short as the oracle is
+  // empty (an empty default-sized oracle is 66 bytes for ~330 MB of filters).
   if (cfg.lsh.tables < 1 || cfg.lsh.tables > 64 || cfg.lsh.projections < 1 ||
-      cfg.lsh.projections > 32 || !(cfg.lsh.width > 0) ||
+      cfg.lsh.projections > 32 || cfg.hashes < 1 || cfg.hashes > 32 ||
+      !(cfg.lsh.width > 0) ||
       cfg.counter_bits < 1 || cfg.counter_bits > 16 || cfg.capacity == 0 ||
       cfg.capacity > (1ULL << 40) ||
       !(cfg.fp_rate > 0 && cfg.fp_rate < 1) ||
       cfg.counters_override > (1ULL << 40)) {
     throw DecodeError{"oracle: implausible configuration header"};
   }
-  const std::uint64_t counters = cfg.effective_counters();
-  const std::uint64_t primary_bytes =
-      (counters * cfg.counter_bits + 63) / 64 * 8;
-  const std::uint64_t verify_bytes = (counters + 63) / 64 * 8;
-  if (r.remaining() < primary_bytes + verify_bytes) {
-    throw DecodeError{"oracle: payload shorter than configuration implies"};
+  if (cfg.filter_bytes() > kMaxOracleFilterBytes) {
+    throw DecodeError{"oracle: filters exceed kMaxOracleFilterBytes"};
   }
 
+  // Built once; the sparse sections fill its zeroed filters in place.
   UniquenessOracle oracle(cfg);
-  {
-    const auto p = r.blob();
-    ByteReader pr(p);
-    oracle.primary_ = CountingBloomFilter::deserialize(pr);
-  }
-  {
-    const auto v = r.blob();
-    ByteReader vr(v);
-    oracle.verification_ = BloomFilter::deserialize(vr);
-  }
+  oracle.primary_.read_sparse(r);
+  oracle.verification_.read_sparse(r);
   oracle.insertions_ = insertions;
   if (!r.done()) throw DecodeError{"oracle: trailing bytes"};
   return oracle;

@@ -50,7 +50,17 @@ struct OracleConfig {
 
   /// Counter cells in the primary filter (derived unless overridden).
   std::size_t effective_counters() const;
+  /// Bytes of the two bit-packed filters (primary + verification) this
+  /// configuration allocates; saturates instead of overflowing.
+  std::uint64_t filter_bytes() const;
 };
+
+/// Cap on an oracle's bit-packed filters (OracleConfig::filter_bytes). The
+/// constructor refuses a larger configuration and deserialize() refuses a
+/// header claiming one, so every oracle serialize() writes decodes. The
+/// default configuration needs ~330 MB (132 B per descriptor of capacity);
+/// the cap admits up to ~4 M descriptors at the default L, K and fp rate.
+inline constexpr std::uint64_t kMaxOracleFilterBytes = 512ULL << 20;
 
 class UniquenessOracle {
  public:
@@ -82,10 +92,20 @@ class UniquenessOracle {
   /// In-memory footprint: primary + verification filters + projections.
   std::size_t byte_size() const noexcept;
 
-  /// Wire format (uncompressed). The client downloads zlib-compressed
-  /// bytes of exactly this blob; see net/wire.hpp.
+  /// Wire and disk format (uncompressed): the configuration header, then
+  /// both filters sparse (docs/ORACLE.md "Serialized form"). The client
+  /// downloads zlib-compressed bytes of exactly this blob (net/wire.hpp);
+  /// the database stores the same blob (core/server_io.cpp).
   Bytes serialize() const;
+  /// Throws DecodeError on any malformed blob, and on a header whose
+  /// filters exceed kMaxOracleFilterBytes. The cap is the only bound on
+  /// what decode allocates: a blob of any size, even the 66 bytes of an
+  /// empty oracle, may claim up to 512 MiB of filters.
   static UniquenessOracle deserialize(std::span<const std::uint8_t> data);
+
+  /// The filters themselves (format tests compare them directly).
+  const CountingBloomFilter& primary() const noexcept { return primary_; }
+  const BloomFilter& verification() const noexcept { return verification_; }
 
   /// Fill ratio of the primary filter (hotspot diagnostics, §3).
   double primary_fill() const noexcept { return primary_.fill_ratio(); }

@@ -26,7 +26,7 @@
 //
 // Storage ownership: the flat descriptor buffer (and the PQ code buffer)
 // can be *owned* (grown by insert) or *borrowed* — a `std::span` over
-// bytes someone else keeps alive, typically an mmap'd v4 database segment
+// bytes someone else keeps alive, typically an mmap'd database segment
 // (util/mmap_file.hpp). `bulk_load` installs a borrowed buffer plus a
 // type-erased keepalive and rebuilds only the bucket maps, so a cold
 // shard faults in without copying its descriptor payload. A borrowed
@@ -155,7 +155,7 @@ class LshIndex {
   void restore_pq(PqCodebook codebook, std::vector<std::uint8_t> codes);
 
   /// Borrowed-buffer variant: the code bytes stay where they are (an
-  /// mmap'd v4 segment) and `keepalive` pins them; a null keepalive
+  /// mmap'd database segment) and `keepalive` pins them; a null keepalive
   /// copies. Same size contract as the owning overload.
   void restore_pq(PqCodebook codebook, std::span<const std::uint8_t> codes,
                   std::shared_ptr<const void> keepalive);

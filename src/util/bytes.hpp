@@ -40,6 +40,16 @@ class ByteWriter {
     put_le(bits);
   }
 
+  /// LEB128 unsigned varint: 7 bits per byte, low group first, high bit
+  /// set on every byte but the last (1 byte below 128, at most 10).
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<std::uint8_t>(v | 0x80));
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
+
   /// Raw bytes, no length prefix.
   void raw(std::span<const std::uint8_t> data) {
     buf_.insert(buf_.end(), data.begin(), data.end());
@@ -97,6 +107,21 @@ class ByteReader {
     double v;
     std::memcpy(&v, &bits, sizeof v);
     return v;
+  }
+
+  /// Inverse of ByteWriter::varint. Throws DecodeError on truncation and
+  /// on a varint longer than 10 bytes or wider than 64 bits.
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      const std::uint8_t b = u8();
+      // The 10th byte may carry bit 63 only, and no continuation.
+      if (shift == 63 && b > 1) {
+        throw DecodeError{"varint: longer than 10 bytes or 64 bits"};
+      }
+      v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+      if ((b & 0x80) == 0) return v;
+    }
   }
 
   /// Raw bytes of exact length.

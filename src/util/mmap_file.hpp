@@ -1,6 +1,6 @@
 // Read-only memory-mapped file. The mapping is the ownership unit for
 // every borrowed-buffer shard load (index/lsh_index.hpp bulk_load): a
-// PlaceShard restored from a v4 database keeps a shared_ptr to the
+// PlaceShard restored from a database file keeps a shared_ptr to the
 // MappedFile alive through its LshIndex keepalive, so eviction is just
 // dropping the last reference — the kernel reclaims the pages, and
 // in-flight queries holding an RCU snapshot keep the mapping valid.

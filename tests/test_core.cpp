@@ -8,6 +8,7 @@
 #include <fstream>
 #include <latch>
 #include <thread>
+#include <tuple>
 
 #include "core/client.hpp"
 #include "core/remote.hpp"
@@ -137,6 +138,48 @@ TEST(Client, ProcessFrameProducesQuery) {
   EXPECT_EQ(result.query->image_width, 200);
   EXPECT_GT(result.sift_ms, 0.0);
 }
+
+#if VP_OBS_ENABLED
+TEST(Client, CountsOnlyFramesWhoseSelectionIsSkipped) {
+  const auto skipped = [] {
+    return obs::Registry::global()
+        .counter("client.frames_select_skipped")
+        .value();
+  };
+  Rng rng(5);
+  const ImageF textured = painting_texture(200, 150, rng);
+  const ImageF flat(64, 64, 1, 128.0f);
+  // Runs one frame through a fresh client; returns its status, keypoint
+  // count and how much the counter moved.
+  const auto run = [&](const ImageF& frame, std::size_t top_k,
+                       double blur_threshold) {
+    ClientConfig cfg;
+    cfg.top_k = top_k;
+    cfg.blur_threshold = blur_threshold;
+    VisualPrintClient client(cfg);
+    client.install_oracle(UniquenessOracle(small_oracle()));
+    const std::uint64_t before = skipped();
+    const FrameResult r = client.process_frame(frame, 1.0, 1.0);
+    return std::tuple{r.status, r.total_keypoints, skipped() - before};
+  };
+
+  const auto [ran, keypoints, ran_count] = run(textured, 1, 1.0);
+  ASSERT_EQ(ran, FrameResult::Status::kQueued);
+  ASSERT_GT(keypoints, 1u);
+  EXPECT_EQ(ran_count, 0u) << "selection ran: more keypoints than top_k";
+  EXPECT_EQ(std::get<2>(run(textured, keypoints - 1, 1.0)), 0u);
+  EXPECT_EQ(std::get<2>(run(textured, keypoints, 1.0)), 1u);
+  EXPECT_EQ(std::get<2>(run(textured, keypoints + 10, 1.0)), 1u);
+
+  // Frames that stop before selection are not counted.
+  const auto blurred = run(textured, keypoints + 10, 1e12);
+  EXPECT_EQ(std::get<0>(blurred), FrameResult::Status::kBlurRejected);
+  EXPECT_EQ(std::get<2>(blurred), 0u);
+  const auto featureless = run(flat, 50, 0.0);
+  EXPECT_EQ(std::get<0>(featureless), FrameResult::Status::kNoFeatures);
+  EXPECT_EQ(std::get<2>(featureless), 0u);
+}
+#endif
 
 TEST(Server, IngestAndOracleGrow) {
   VisualPrintServer server(small_server());
@@ -720,7 +763,7 @@ TEST(MapStore, TruncatedShardBlobRejected) {
   }
 
   // A lying shard-record length field (the first record starts after
-  // magic + version + the v4 total-file-size field + default place
+  // magic + version + the total-file-size field + default place
   // string + shard count).
   Bytes lie = blob;
   ByteReader r(lie);
@@ -798,11 +841,11 @@ TEST(MapStore, PqDatabaseTruncationRejected) {
   }
 }
 
-/// A complete single-shard v4 database ("gallery", PQ mode) written field
+/// A complete single-shard database ("gallery", PQ mode) written field
 /// by field: `codebook_raw` is zlib'd into the shard record and
 /// `codes_raw` becomes the codes segment verbatim, so callers can write
 /// deliberately wrong sizes. Segment checksums are correct.
-Bytes v4_db_with_pq_section(std::span<const Feature> feats,
+Bytes db_with_pq_section(std::span<const Feature> feats,
                             const UniquenessOracle& oracle,
                             std::span<const std::uint8_t> codebook_raw,
                             std::span<const std::uint8_t> codes_raw) {
@@ -860,7 +903,7 @@ Bytes v4_db_with_pq_section(std::span<const Feature> feats,
     }
     ByteWriter w;
     w.u32(0x56504442u);  // "VPDB"
-    w.u16(4);
+    w.u16(5);
     w.u64(file_size);
     w.str("gallery");  // default place
     w.u32(1);          // shard count
@@ -903,7 +946,7 @@ TEST(MapStore, CorruptPqSectionRejectedNotHalfLoaded) {
                 codes.data() + i * kPqCodeBytes);
   }
   const Bytes good =
-      v4_db_with_pq_section(feats, oracle, book.raw(), codes);
+      db_with_pq_section(feats, oracle, book.raw(), codes);
   VisualPrintServer loaded = VisualPrintServer::deserialize(good);
   EXPECT_EQ(loaded.store().storage_mode("gallery"), "pq");
   EXPECT_EQ(loaded.store().snapshot("gallery")->stored.size(), feats.size());
@@ -915,8 +958,8 @@ TEST(MapStore, CorruptPqSectionRejectedNotHalfLoaded) {
   const std::vector<std::uint8_t> short_codes((feats.size() - 1) *
                                               kPqCodeBytes);
   const Bytes bad[2] = {
-      v4_db_with_pq_section(feats, oracle, short_book, codes),
-      v4_db_with_pq_section(feats, oracle, book.raw(), short_codes)};
+      db_with_pq_section(feats, oracle, short_book, codes),
+      db_with_pq_section(feats, oracle, book.raw(), short_codes)};
   const auto path =
       (fs::temp_directory_path() /
        ("vp_corrupt_pq_" + std::to_string(::getpid()) + ".db"))
@@ -1528,7 +1571,19 @@ TEST(MapStoreOracleReply, PublishReturnsWhileEveryPoolWorkerIsHeld) {
   // The publish's pack hands zlib chunks to the store pool but must not
   // wait for a worker: TcpListener::serve holds one per open connection.
   ThreadPool pool(2);
-  MapStore store(pq_server());
+  // The oracle blob is sparse, so its size follows the nonzero counters:
+  // 1900 mappings at 2048 counters each (64 tables x 32 hashes; width 50
+  // puts random descriptors in distinct buckets) fill ~97% of 1.15M
+  // one-bit counters, a 2.3 MB blob of mostly zero gaps and values that
+  // zlib deflates in a fraction of a second.
+  ServerConfig cfg = pq_server();
+  cfg.oracle.lsh.tables = 64;
+  cfg.oracle.lsh.width = 50;
+  cfg.oracle.hashes = 32;
+  cfg.oracle.counter_bits = 1;
+  cfg.oracle.counters_override = 1'150'000;
+  cfg.index.pq.train.max_samples = 256;  // PQ training is not under test
+  MapStore store(cfg);
   std::latch parked(2);
   std::latch release(1);
   std::vector<std::future<void>> held;
@@ -1541,7 +1596,7 @@ TEST(MapStoreOracleReply, PublishReturnsWhileEveryPoolWorkerIsHeld) {
   parked.wait();
   store.set_pool(&pool);
   Rng rng(89);
-  store.ingest_wardrive("hall", random_mappings(rng, 40, {0, 0, 0}));
+  store.ingest_wardrive("hall", random_mappings(rng, 1900, {0, 0, 0}));
   const auto shard = store.snapshot("hall");
   ASSERT_NE(shard, nullptr);
   // More than one 1 MiB zlib chunk, so the pool had work to offer.

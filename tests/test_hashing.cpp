@@ -1,14 +1,43 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <set>
 
 #include "hashing/bloom.hpp"
 #include "hashing/lsh.hpp"
 #include "hashing/murmur3.hpp"
 #include "hashing/oracle.hpp"
+#include "net/wire.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+
+// Largest single heap request since the last reset, so a decode test can
+// check that a rejected blob never allocated what its header claimed.
+namespace {
+std::atomic<std::size_t> g_largest_allocation{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  std::size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest_allocation.compare_exchange_weak(
+                         seen, n, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc{};
+}
+// GCC pairs the inlined replacement new with these frees and warns.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace vp {
 namespace {
@@ -149,14 +178,34 @@ TEST(BloomFilter, MeasuredFpRateNearTarget) {
   EXPECT_LT(rate, target * 2.5);
 }
 
+/// write_sparse -> read_sparse into `back` (a fresh filter of the same
+/// shape) -> write_sparse gives the same bytes and an equal filter.
+template <typename Filter>
+void expect_sparse_bit_exact(const Filter& f, Filter back) {
+  ByteWriter w;
+  f.write_sparse(w);
+  ByteReader r(w.bytes());
+  back.read_sparse(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(back, f);
+  ByteWriter again;
+  back.write_sparse(again);
+  EXPECT_EQ(again.bytes(), w.bytes());
+}
+
 TEST(BloomFilter, SerializeRoundtrip) {
   BloomFilter f(256);
+  expect_sparse_bit_exact(f, BloomFilter(256));  // empty
+  f.set(0);
   f.set(3);
+  f.set(64);
   f.set(200);
-  const Bytes b = f.serialize();
-  ByteReader r(b);
-  const BloomFilter back = BloomFilter::deserialize(r);
-  EXPECT_EQ(back, f);
+  f.set(255);  // the last bit
+  ByteWriter w;
+  f.write_sparse(w);
+  // Count, then gaps 0, 2, 60, 135 (two bytes), 54.
+  EXPECT_EQ(w.bytes(), (Bytes{5, 0, 2, 60, 0x87, 0x01, 54}));
+  expect_sparse_bit_exact(f, BloomFilter(256));
 }
 
 TEST(CountingBloom, IncrementDecrement) {
@@ -200,18 +249,78 @@ TEST(CountingBloom, SerializeRoundtrip) {
   f.increment(1);
   f.increment(1);
   f.increment(99);
-  const Bytes b = f.serialize();
-  ByteReader r(b);
-  EXPECT_EQ(CountingBloomFilter::deserialize(r), f);
+  ByteWriter w;
+  f.write_sparse(w);
+  // Count, gaps (1, 97), values minus 1 (1, 0).
+  EXPECT_EQ(w.bytes(), (Bytes{2, 1, 97, 1, 0}));
+  expect_sparse_bit_exact(f, CountingBloomFilter(100, 10));
+
+  // 10-bit counters 6 (bits 60..69), 12 (120..129) and 51 (510..519)
+  // straddle a 64-bit word. 1020 leaves counter 51's two bits in word 7
+  // clear, so that word is zero and only word 8 shows the counter.
+  CountingBloomFilter edges(1000, 10);
+  expect_sparse_bit_exact(edges, CountingBloomFilter(1000, 10));  // empty
+  edges.increment(0);
+  for (int i = 0; i < 77; ++i) edges.increment(6);
+  for (int i = 0; i < 2000; ++i) edges.increment(12);  // saturates at 1023
+  for (int i = 0; i < 1020; ++i) edges.increment(51);
+  for (int i = 0; i < 5; ++i) edges.increment(999);  // the last counter
+  ASSERT_EQ(edges.count(12), 1023u);
+  ASSERT_EQ(edges.count(51), 1020u);
+  expect_sparse_bit_exact(edges, CountingBloomFilter(1000, 10));
+
+  CountingBloomFilter dense(4096, 10);
+  Rng rng(71);
+  for (int i = 0; i < 2840; ++i) {
+    dense.increment(static_cast<std::size_t>(rng.uniform_u64(4096)));
+  }
+  ASSERT_GT(dense.fill_ratio(), 0.4);
+  ASSERT_LT(dense.fill_ratio(), 0.6);
+  expect_sparse_bit_exact(dense, CountingBloomFilter(4096, 10));
 }
 
 TEST(CountingBloom, DeserializeRejectsGarbage) {
+  const auto rejects = [](Bytes b) {
+    ByteReader r(b);
+    CountingBloomFilter f(100, 10);
+    EXPECT_THROW(f.read_sparse(r), DecodeError) << ::testing::PrintToString(b);
+  };
+  rejects({1, 100, 0});           // gap past the last counter
+  rejects({2, 98, 1, 0, 0});      // second counter lands past the end
+  rejects({1, 5, 0xFF, 0x07});    // value 1023 + 1 above saturation
+  rejects({3, 0, 0, 0, 0});       // three counters need six bytes
+  rejects({101, 0});              // more counters than the filter has
+  rejects({1, 0x80, 0x80});       // truncated varint
+}
+
+TEST(ByteCodec, VarintRoundtripAndLimits) {
   ByteWriter w;
-  w.u64(0);  // zero counters: invalid
-  w.u32(10);
-  const Bytes b = w.take();
-  ByteReader r(b);
-  EXPECT_THROW(CountingBloomFilter::deserialize(r), DecodeError);
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{127},
+                                std::uint64_t{128}, std::uint64_t{1} << 63,
+                                ~std::uint64_t{0}}) {
+    w.varint(v);
+  }
+  // 1 + 1 + 2 + 10 + 10 bytes.
+  ASSERT_EQ(w.size(), 24u);
+  ByteReader r(w.bytes());
+  EXPECT_EQ(r.varint(), 0u);
+  EXPECT_EQ(r.varint(), 127u);
+  EXPECT_EQ(r.varint(), 128u);
+  EXPECT_EQ(r.varint(), std::uint64_t{1} << 63);
+  EXPECT_EQ(r.varint(), ~std::uint64_t{0});
+  EXPECT_TRUE(r.done());
+
+  const auto rejects = [](Bytes b) {
+    ByteReader bad(b);
+    EXPECT_THROW((void)bad.varint(), DecodeError);
+  };
+  Bytes eleven(11, 0x80);
+  eleven.back() = 0x00;
+  rejects(eleven);                // 11 bytes
+  Bytes wide(10, 0xFF);
+  wide.back() = 0x02;
+  rejects(wide);                  // 10 bytes, bit 64 set
+  rejects({0x80, 0x80});          // truncated
 }
 
 TEST(E2Lsh, SameDescriptorSameBuckets) {
@@ -432,20 +541,43 @@ TEST(Oracle, CountBatchMatchesScalarCount) {
   EXPECT_TRUE(oracle.count_batch({}, &pool).empty());
 }
 
-TEST(Oracle, SerializeRoundtripPreservesCounts) {
-  UniquenessOracle oracle(small_oracle_config());
-  Rng rng(13);
-  std::vector<Descriptor> inserted;
-  for (int i = 0; i < 40; ++i) {
-    inserted.push_back(random_descriptor(rng));
-    oracle.insert(inserted.back());
-  }
+/// serialize -> deserialize -> serialize gives the same bytes, equal
+/// filters, and equal counts for `probes`.
+void expect_oracle_bit_exact(const UniquenessOracle& oracle,
+                             std::span<const Descriptor> probes) {
   const Bytes blob = oracle.serialize();
   const UniquenessOracle back = UniquenessOracle::deserialize(blob);
+  EXPECT_EQ(back.serialize(), blob);
+  EXPECT_EQ(back.primary(), oracle.primary());
+  EXPECT_EQ(back.verification(), oracle.verification());
   EXPECT_EQ(back.insertions(), oracle.insertions());
-  for (const auto& d : inserted) {
-    EXPECT_EQ(back.count(d), oracle.count(d));
-  }
+  for (const Descriptor& d : probes) EXPECT_EQ(back.count(d), oracle.count(d));
+}
+
+TEST(Oracle, SerializeRoundtripPreservesCounts) {
+  Rng rng(13);
+  std::vector<Descriptor> inserted;
+  for (int i = 0; i < 40; ++i) inserted.push_back(random_descriptor(rng));
+
+  UniquenessOracle empty(small_oracle_config());
+  expect_oracle_bit_exact(empty, inserted);
+  // Header plus two zero counts: the blob does not grow with capacity.
+  EXPECT_LT(empty.serialize().size(), 100u);
+
+  UniquenessOracle oracle(small_oracle_config());
+  for (const Descriptor& d : inserted) oracle.insert(d);
+  expect_oracle_bit_exact(oracle, inserted);
+  for (int i = 0; i < 1100; ++i) oracle.insert(inserted[0]);  // saturates
+  ASSERT_EQ(oracle.count(inserted[0]), 1023u);
+  expect_oracle_bit_exact(oracle, inserted);
+
+  OracleConfig small = small_oracle_config();
+  small.counters_override = 20'000;
+  UniquenessOracle dense(small);
+  for (int i = 0; i < 175; ++i) dense.insert(random_descriptor(rng));
+  ASSERT_GT(dense.primary_fill(), 0.4);
+  ASSERT_LT(dense.primary_fill(), 0.6);
+  expect_oracle_bit_exact(dense, inserted);
 }
 
 TEST(Oracle, DeserializeRejectsCorruptMagic) {
@@ -453,6 +585,122 @@ TEST(Oracle, DeserializeRejectsCorruptMagic) {
   Bytes blob = oracle.serialize();
   blob[0] ^= 0xFF;
   EXPECT_THROW(UniquenessOracle::deserialize(blob), DecodeError);
+}
+
+/// A v2 oracle header for `counters` explicit 10-bit counters; the caller
+/// appends the sparse body.
+ByteWriter oracle_header(std::uint64_t counters, std::uint16_t hashes = 8) {
+  ByteWriter w;
+  w.u32(0x56504f52u);  // "VPOR"
+  w.u16(2);
+  w.u16(10);  // tables
+  w.u16(7);   // projections
+  w.u16(hashes);
+  w.f64(500.0);  // width
+  w.u64(1);      // seed
+  w.u8(10);      // counter bits
+  w.u8(1);       // multiprobe
+  w.u8(1);       // verification
+  w.u8(static_cast<std::uint8_t>(OracleAggregate::kMedian));
+  w.u64(20'000);  // capacity
+  w.f64(0.01);    // fp rate
+  w.u64(counters);
+  w.u64(0);  // insertions
+  return w;
+}
+
+TEST(Oracle, DeserializeRejectsMalformedSparseBody) {
+  const auto rejects = [](std::initializer_list<std::uint8_t> body,
+                          const char* what, std::uint64_t counters = 1000) {
+    ByteWriter w = oracle_header(counters);
+    for (const std::uint8_t b : body) w.u8(b);
+    g_largest_allocation = 0;
+    EXPECT_THROW((void)UniquenessOracle::deserialize(w.bytes()), DecodeError)
+        << what;
+    // At most the 1000-counter filters themselves, never the claim.
+    EXPECT_LT(g_largest_allocation.load(), std::size_t{1} << 16) << what;
+  };
+  ByteWriter minimal = oracle_header(1000);
+  minimal.u8(0);  // no nonzero counters
+  minimal.u8(0);  // no set verification bits
+  ASSERT_NO_THROW((void)UniquenessOracle::deserialize(minimal.bytes()));
+  rejects({}, "no body");
+  rejects({1, 0xE8, 0x07, 0, 0}, "gap past the end");  // gap 1000
+  rejects({1, 3, 0xFF, 0x07, 0}, "value above saturation");
+  rejects({4, 0, 0, 0, 0}, "count larger than the payload");
+  rejects({0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00,
+           0},
+          "varint longer than 10 bytes");
+  rejects({1, 3, 0, 1, 9, 0}, "trailing bytes");  // one set bit, then 0
+  // ~100 bytes claiming 2^40 ten-bit counters (1.4 TB of filter).
+  rejects({0, 0}, "2^40 counters", std::uint64_t{1} << 40);
+  // A header the oracle constructor would refuse is corruption too.
+  ByteWriter no_hashes = oracle_header(1000, /*hashes=*/0);
+  no_hashes.u8(0);
+  no_hashes.u8(0);
+  EXPECT_THROW((void)UniquenessOracle::deserialize(no_hashes.bytes()),
+               DecodeError);
+}
+
+TEST(Oracle, FilterCapAdmitsEveryConstructibleOracle) {
+  // filter_bytes() is exactly what the constructor allocates.
+  OracleConfig odd = small_oracle_config();
+  odd.counters_override = 6401;  // 10-bit counters ending mid-word
+  odd.counter_bits = 10;
+  for (const OracleConfig& cfg : {small_oracle_config(), odd}) {
+    const UniquenessOracle oracle(cfg);
+    EXPECT_EQ(cfg.filter_bytes(), oracle.primary().byte_size() +
+                                      oracle.verification().byte_size());
+  }
+  EXPECT_LE(OracleConfig{}.filter_bytes(), kMaxOracleFilterBytes);
+
+  // Just over the cap: the constructor refuses it before allocating, and
+  // a header claiming it is refused the same way.
+  OracleConfig over = small_oracle_config();
+  over.counters_override = kMaxOracleFilterBytes * 8 / 11 + 64;
+  ASSERT_GT(over.filter_bytes(), kMaxOracleFilterBytes);
+  ASSERT_LT(over.filter_bytes(), kMaxOracleFilterBytes + 1024);
+  g_largest_allocation = 0;
+  EXPECT_THROW(UniquenessOracle{over}, InvalidArgument);
+  EXPECT_LT(g_largest_allocation.load(), std::size_t{1} << 16);
+  ByteWriter w = oracle_header(over.counters_override);
+  w.u8(0);
+  w.u8(0);
+  g_largest_allocation = 0;
+  EXPECT_THROW((void)UniquenessOracle::deserialize(w.bytes()), DecodeError);
+  EXPECT_LT(g_largest_allocation.load(), std::size_t{1} << 16);
+}
+
+TEST(Oracle, DefaultSizedOracleRoundTrips) {
+  // The default configuration: ~330 MB of bit-packed filters, whose blob
+  // is 66 bytes empty and a few KB after a handful of insertions. Each
+  // oracle is dropped before the next is decoded, so at most one is alive.
+  Rng rng(15);
+  std::vector<Descriptor> probes;
+  for (int i = 0; i < 20; ++i) probes.push_back(random_descriptor(rng));
+  Bytes empty_blob, blob;
+  Bytes reply;
+  std::vector<std::uint32_t> counts;
+  {
+    UniquenessOracle oracle{OracleConfig{}};
+    empty_blob = oracle.serialize();
+    for (const Descriptor& d : probes) oracle.insert(d);
+    blob = oracle.serialize();
+    reply = OracleDownload::pack(oracle, 1).encode();
+    for (const Descriptor& d : probes) counts.push_back(oracle.count(d));
+  }
+  EXPECT_EQ(empty_blob.size(), 66u);
+  for (const Bytes* b : {&empty_blob, &blob}) {
+    const UniquenessOracle back = UniquenessOracle::deserialize(*b);
+    EXPECT_EQ(back.serialize(), *b);
+    EXPECT_EQ(back.primary().byte_size() + back.verification().byte_size(),
+              OracleConfig{}.filter_bytes());
+  }
+  const UniquenessOracle downloaded = OracleDownload::decode(reply).unpack();
+  EXPECT_EQ(downloaded.serialize(), blob);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(downloaded.count(probes[i]), counts[i]);
+  }
 }
 
 TEST(Oracle, AggregateModes) {

@@ -338,14 +338,52 @@ TEST(Wire, OracleDownloadRoundtrip) {
   Descriptor d;
   for (auto& v : d) v = static_cast<std::uint8_t>(rng.uniform_u64(60));
   for (int i = 0; i < 3; ++i) oracle.insert(d);
+  std::vector<Descriptor> others(200);
+  for (auto& o : others) {
+    for (auto& v : o) v = static_cast<std::uint8_t>(rng.uniform_u64(80));
+    oracle.insert(o);
+  }
+  for (int i = 0; i < 1100; ++i) oracle.insert(others[0]);  // saturates
 
   const OracleDownload down = OracleDownload::pack(oracle, 5, "atrium");
+  const Bytes blob = oracle.serialize();
+  EXPECT_EQ(zlib_decompress(down.compressed), blob);
   const Bytes wire = down.encode();
   const OracleDownload back = OracleDownload::decode(wire);
   EXPECT_EQ(back.epoch, 5u);
   EXPECT_EQ(back.place, "atrium");
+  // The client's oracle is the server's, bit for bit.
   const UniquenessOracle restored = back.unpack();
+  EXPECT_EQ(restored.serialize(), blob);
+  EXPECT_EQ(restored.primary(), oracle.primary());
+  EXPECT_EQ(restored.verification(), oracle.verification());
   EXPECT_EQ(restored.count(d), oracle.count(d));
+  for (const Descriptor& o : others) {
+    EXPECT_EQ(restored.count(o), oracle.count(o));
+  }
+}
+
+TEST(Wire, OracleDownloadRejectsV1OracleBlob) {
+  // The download frame is current; only the oracle blob inside it claims
+  // the retired bit-packed v1 layout (the u16 after the "VPOR" magic).
+  OracleConfig cfg;
+  cfg.capacity = 2'000;
+  Bytes blob = UniquenessOracle(cfg).serialize();
+  blob[4] = 1;
+  blob[5] = 0;
+  OracleDownload down;
+  down.epoch = 3;
+  down.place = "atrium";
+  down.compressed = zlib_compress(blob, 9);
+  const OracleDownload back = OracleDownload::decode(down.encode());
+  try {
+    (void)back.unpack();
+    ADD_FAILURE() << "v1 oracle blob accepted";
+  } catch (const DecodeError& e) {
+    EXPECT_NE(std::string(e.what()).find("oracle: unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Wire, OracleDownloadCodebookRoundtrip) {
@@ -396,9 +434,9 @@ TEST(Wire, OracleRequestRoundtrip) {
 TEST(Wire, OracleDownloadCompresses) {
   OracleConfig cfg;
   cfg.capacity = 50'000;
-  UniquenessOracle oracle(cfg);  // nearly empty -> very compressible
+  UniquenessOracle oracle(cfg);  // empty -> a header and two zero counts
   const OracleDownload down = OracleDownload::pack(oracle, 1);
-  EXPECT_LT(down.compressed.size(), oracle.serialize().size() / 20);
+  EXPECT_LT(down.compressed.size(), oracle.byte_size() / 20);
 }
 
 TEST(Wire, StatsRequestSlowLogFormatRoundtrips) {

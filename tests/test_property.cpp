@@ -66,9 +66,13 @@ TEST_P(CounterBitsTest, SerializeRoundtrip) {
   for (int i = 0; i < 200; ++i) {
     f.increment(static_cast<std::size_t>(rng.uniform_u64(61)));
   }
-  const Bytes blob = f.serialize();
-  ByteReader r(blob);
-  EXPECT_EQ(CountingBloomFilter::deserialize(r), f);
+  ByteWriter w;
+  f.write_sparse(w);
+  ByteReader r(w.bytes());
+  CountingBloomFilter back(61, bits);
+  back.read_sparse(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(back, f);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWidths, CounterBitsTest,
@@ -202,6 +206,45 @@ TEST(Fuzz, OracleDeserializeSurvivesCorruption) {
     } catch (const Error&) {
       // DecodeError or InvalidArgument are both acceptable outcomes.
     }
+  }
+}
+
+TEST(Fuzz, OracleSparseBodySurvivesCorruption) {
+  // The varint lists after the 64-byte header: a flipped byte there either
+  // decodes to an oracle that re-serializes stably or throws DecodeError
+  // (the header is intact, so never InvalidArgument); every truncation
+  // throws DecodeError.
+  OracleConfig cfg;
+  cfg.capacity = 5'000;
+  UniquenessOracle oracle(cfg);
+  Rng rng(42);
+  for (int i = 0; i < 20; ++i) oracle.insert(random_descriptor(rng));
+  const Bytes blob = oracle.serialize();
+  ASSERT_GT(blob.size(), 1000u);
+  const auto survives = [](std::span<const std::uint8_t> bytes) {
+    try {
+      const UniquenessOracle decoded = UniquenessOracle::deserialize(bytes);
+      const UniquenessOracle again =
+          UniquenessOracle::deserialize(decoded.serialize());
+      EXPECT_EQ(again.primary(), decoded.primary());
+      EXPECT_EQ(again.verification(), decoded.verification());
+    } catch (const DecodeError&) {
+    }
+  };
+  for (int trial = 0; trial < 1000; ++trial) {
+    Bytes mutated = blob;
+    const auto pos =
+        64 + static_cast<std::size_t>(rng.uniform_u64(blob.size() - 64));
+    mutated[pos] ^= static_cast<std::uint8_t>(1 + rng.uniform_u64(255));
+    survives(mutated);
+  }
+  // Every count comes before its list, so each proper prefix runs short.
+  for (std::size_t len = 64; len < blob.size(); ++len) {
+    EXPECT_THROW(
+        (void)UniquenessOracle::deserialize(
+            std::span<const std::uint8_t>(blob).first(len)),
+        DecodeError)
+        << len;
   }
 }
 

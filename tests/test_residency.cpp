@@ -1,6 +1,6 @@
-// Tiered shard residency (core/residency.hpp + server_io v4): mmap-backed
+// Tiered shard residency (core/residency.hpp + server_io): mmap-backed
 // cold shards, lazy first-query fault-in, single-flight loads, and the
-// LRU resident-byte budget — plus the v4 on-disk format's fuzz contract
+// LRU resident-byte budget — plus the on-disk format's fuzz contract
 // (truncations and bit flips only ever throw DecodeError; a corrupt file
 // never installs a partial shard).
 #include <gtest/gtest.h>
@@ -111,7 +111,7 @@ void write_bytes(const std::string& path, std::span<const std::uint8_t> b) {
           static_cast<std::streamsize>(b.size()));
 }
 
-/// Two localizable wings saved to a v4 file. Returns the fixtures so
+/// Two localizable wings saved to a database file. Returns the fixtures so
 /// tests can replay the exact queries against lazily-loaded twins.
 struct SavedDb {
   std::string path;
@@ -164,7 +164,7 @@ void expect_good_fix(const LocationResponse& r, const PlaceFixture& fx,
 }
 
 // ---------------------------------------------------------------------------
-// v4 format
+// database format
 
 TEST(ResidencyFormat, V4SaveLoadRoundtripIsQueryIdentical) {
   const SavedDb db = save_two_wing_db("roundtrip");
@@ -252,7 +252,7 @@ TEST(ResidencyFormat, FlippedSegmentChecksumRejected) {
   server.ingest_wardrive("hall", random_mappings(rng, 40, {0, 0, 0}));
   Bytes blob = server.serialize();
 
-  // The last byte of a v4 file is the last byte of the final uncompressed
+  // The last byte of a database file is the last byte of the final uncompressed
   // segment: only its crc32 can notice the flip.
   blob[blob.size() - 1] ^= 0x01;
   try {
@@ -266,7 +266,7 @@ TEST(ResidencyFormat, FlippedSegmentChecksumRejected) {
 
 TEST(ResidencyFormat, LegacyV3DatabaseRejected) {
   // Hand-assembled v3 bytes (the retired v3 writer's exact layout: one
-  // interleaved shard blob, no segment directory). Only v4 loads now;
+  // interleaved shard blob, no segment directory). Only v5 loads now;
   // eager and lazy loads alike must reject the file as a bad version
   // rather than misread it.
   Rng rng(60);
@@ -331,6 +331,156 @@ TEST(ResidencyFormat, LegacyV3DatabaseRejected) {
   DbLoadOptions lazy;
   lazy.lazy = true;
   expect_bad_version([&] { (void)VisualPrintServer::load(path, lazy); });
+  std::filesystem::remove(path);
+}
+
+/// A v4 database as the retired v4 writer laid it out: v5's layout with a
+/// bit-packed (VPOR v1) oracle blob, numbered `version`. Its one shard has
+/// no keypoints, so it has no segment bytes and the file is all header.
+Bytes legacy_v4_database(std::uint16_t version) {
+  OracleConfig oc = small_oracle();
+  oc.counters_override = 640;  // 100 words of 10-bit counters
+  ByteWriter oracle;
+  oracle.u32(0x56504f52u);  // "VPOR"
+  oracle.u16(1);
+  oracle.u16(static_cast<std::uint16_t>(oc.lsh.tables));
+  oracle.u16(static_cast<std::uint16_t>(oc.lsh.projections));
+  oracle.u16(static_cast<std::uint16_t>(oc.hashes));
+  oracle.f64(oc.lsh.width);
+  oracle.u64(oc.lsh.seed);
+  oracle.u8(static_cast<std::uint8_t>(oc.counter_bits));
+  oracle.u8(1);  // multiprobe
+  oracle.u8(1);  // verification
+  oracle.u8(static_cast<std::uint8_t>(oc.aggregate));
+  oracle.u64(oc.capacity);
+  oracle.f64(oc.fp_rate);
+  oracle.u64(oc.counters_override);
+  oracle.u64(0);  // insertions
+  ByteWriter primary;
+  primary.u64(640);
+  primary.u32(10);
+  for (int i = 0; i < 100; ++i) primary.u64(0);
+  ByteWriter verify;
+  verify.u64(640);
+  for (int i = 0; i < 10; ++i) verify.u64(0);
+  oracle.blob(primary.bytes());
+  oracle.blob(verify.bytes());
+
+  LshIndexConfig index_cfg;
+  ByteWriter meta;
+  meta.str("old wing");
+  meta.u16(static_cast<std::uint16_t>(index_cfg.lsh.tables));
+  meta.u16(static_cast<std::uint16_t>(index_cfg.lsh.projections));
+  meta.f64(index_cfg.lsh.width);
+  meta.u64(index_cfg.lsh.seed);
+  meta.u8(index_cfg.multiprobe ? 1 : 0);
+  meta.u32(static_cast<std::uint32_t>(index_cfg.max_candidates));
+  meta.u32(2);       // neighbors_per_keypoint
+  meta.u32(65'000);  // max_match_distance2
+  meta.u8(0);        // pq.enabled
+  meta.u32(8);       // pq.rerank_depth
+  meta.u32(8);       // pq.train.iterations
+  meta.u32(2048);    // pq.train.max_samples
+  meta.u64(1);       // pq.train.seed
+  meta.u32(3);       // epoch
+  meta.u32(5);       // oracle_version
+  meta.u32(0);       // keypoint count
+  meta.u8(0);        // has_pq
+
+  ByteWriter record;
+  record.str("old wing");
+  record.blob(zlib_compress(meta.bytes(), 6));
+  record.blob(zlib_compress(oracle.bytes(), 6));
+  record.blob({});  // no codebook
+  record.u8(2);     // segments: descriptors and keypoints, both empty
+  for (const std::uint8_t kind : {0, 1}) {
+    record.u8(kind);
+    record.u64(0);  // offset
+    record.u64(0);  // length
+    record.u32(0);  // crc32 of nothing
+  }
+
+  const std::string place = "old wing";
+  const std::uint64_t size =
+      4 + 2 + 8 + 4 + place.size() + 4 + 4 + record.size();
+  ByteWriter w;
+  w.u32(0x56504442u);  // "VPDB"
+  w.u16(version);
+  w.u64(size);
+  w.str(place);
+  w.u32(1);
+  w.blob(record.bytes());
+  return w.take();
+}
+
+TEST(ResidencyFormat, LegacyV4DatabaseRejected) {
+  // Eager and lazy loads alike must reject a v4 file as a bad version at
+  // once. Its oracle blob is the retired v1 layout, which a lazy load
+  // would only read at the shard's first fault-in.
+  const auto expect_bad_version = [](auto&& load) {
+    try {
+      load();
+      ADD_FAILURE() << "v4 database accepted";
+    } catch (const DecodeError& e) {
+      EXPECT_NE(std::string(e.what()).find("bad version"), std::string::npos)
+          << e.what();
+    }
+  };
+  const Bytes v4 = legacy_v4_database(4);
+  expect_bad_version([&] { (void)VisualPrintServer::deserialize(v4); });
+  const std::string path = temp_db_path("v4");
+  write_bytes(path, v4);
+  expect_bad_version([&] { (void)VisualPrintServer::load(path); });
+  DbLoadOptions lazy;
+  lazy.lazy = true;
+  expect_bad_version([&] { (void)VisualPrintServer::load(path, lazy); });
+
+  // Why the version had to change: numbered as the current format, the
+  // same bytes register lazily without complaint and fail only when their
+  // oracle is decoded.
+  write_bytes(path, legacy_v4_database(5));
+  EXPECT_NO_THROW((void)VisualPrintServer::load(path, lazy));
+  try {
+    (void)VisualPrintServer::load(path);
+    ADD_FAILURE() << "v1 oracle blob accepted";
+  } catch (const DecodeError& e) {
+    EXPECT_NE(std::string(e.what()).find("oracle: unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(ResidencyFormat, DefaultSizedOracleSavesAndLoads) {
+  // A place with the default oracle configuration (~330 MB of filters) and
+  // only 25 descriptors: its oracle section is a few KB, far less than the
+  // filters it describes. Eager and lazy loads both decode it; each server
+  // is dropped before the next loads, so at most one oracle is alive.
+  Rng rng(92);
+  PlaceFixture fx = make_place_fixture(rng, {0, 0, 1});
+  fx.query.place = "hall";
+  ServerConfig cfg = localizing_server();
+  cfg.oracle = OracleConfig{};
+  const std::string path = temp_db_path("default_oracle");
+  Bytes oracle_blob;
+  {
+    VisualPrintServer server(localizing_server());
+    server.ingest_wardrive("hall", fx.mappings, &cfg);
+    oracle_blob = server.store().snapshot("hall")->oracle.serialize();
+    server.save(path);
+  }
+  {
+    VisualPrintServer eager = VisualPrintServer::load(path);
+    EXPECT_EQ(eager.store().snapshot("hall")->oracle.serialize(), oracle_blob);
+    Rng q(45);
+    expect_good_fix(eager.localize_query(fx.query, q), fx, "hall");
+  }
+  DbLoadOptions lazy;
+  lazy.lazy = true;
+  VisualPrintServer server = VisualPrintServer::load(path, lazy);
+  Rng q(45);
+  expect_good_fix(server.localize_query(fx.query, q), fx, "hall");
+  EXPECT_EQ(server.store().snapshot("hall")->oracle.serialize(), oracle_blob);
   std::filesystem::remove(path);
 }
 
