@@ -27,7 +27,8 @@ using namespace vp;
 using namespace vp::bench;
 
 /// Minimal Hamming-space retrieval: exact NN voting over labeled binary
-/// descriptors (256-bit popcount distance is cheap enough for exact NN).
+/// descriptors (std::popcount over four words is cheap enough for exact
+/// NN).
 class BinarySceneDatabase {
  public:
   void add_image(std::span<const BinaryFeature> features,

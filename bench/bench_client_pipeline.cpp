@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
       std::unique(thread_configs.begin(), thread_configs.end()),
       thread_configs.end());
 
-  const std::string kernel(blur_kernel_name(active_blur_kernel()));
+  const std::string kernel(simd_level_name(blur_kernels().active()));
   double baseline_ms = 0;
   for (unsigned threads : thread_configs) {
     // threads == 1 measures the sequential path (no pool), i.e. the

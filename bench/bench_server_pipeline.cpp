@@ -4,25 +4,25 @@
 // Three sections, each emitting one JSON line per configuration:
 //
 //   rank      exact descriptor ranking (BruteForceMatcher::knn) over a
-//             synthetic database, single-threaded, once per compiled
-//             distance kernel. The scalar/SIMD ratio is the kernel
-//             speedup — the acceptance target is >= 3x on AVX2 hosts.
+//             synthetic database, single-threaded, once per compiled SIMD
+//             level (scalar, sse2 / neon, avx2). The scalar/SIMD ratio is
+//             the kernel speedup — the target is >= 3x on AVX2 hosts.
 //   adc       PQ candidate-scan throughput (16-byte ADC codes vs exact
-//             128-byte u8-L2 at matched counts, per kernel; target >= 4x
-//             SIMD ADC vs exact), recall@1 of the two-stage query vs
+//             128-byte u8-L2 at matched counts, per level; target >= 4x
+//             for the widest level's ADC vs exact), recall@1 of the two-stage query vs
 //             exact-only per rerank depth, raw-vs-PQ shard bytes.
 //   de        the pool-parallel differential-evolution solver on a fixed
 //             localization-shaped objective, pools of 0/1/2/4 workers.
 //             Results are bit-identical across pool sizes (asserted in
 //             tests); this section measures the scaling alone.
-//   pipeline  end-to-end MapStore queries, kernel x pool x shard-count,
+//   pipeline  end-to-end MapStore queries, level x pool x shard-count,
 //             with per-stage splits (retrieve / cluster / solve) read
 //             from the vp_obs span histograms. Splits print as zeros when
 //             the build has VP_OBS=OFF.
 //
 // Usage: bench_server_pipeline [--scale=<f>] [--smoke]
 //   --smoke   CI-sized run: shrunken database, fewer queries, active
-//             kernel only.
+//             level only.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -102,21 +102,21 @@ void run_rank_section(double scale, bool smoke) {
   for (int i = 0; i < queries; ++i) qs.push_back(random_descriptor(rng));
 
   const BruteForceMatcher brute(db);  // no pool: single-thread by design
-  const DistanceKernel original = active_distance_kernel();
+  const SimdLevel original = distance_kernels().active();
   Timer t;
   double scalar_ms = 0;
   std::printf("\n-- rank: exact knn over %zu descriptors, %d queries, "
               "1 thread --\n", db_size, queries);
-  for (const DistanceKernel kernel : compiled_distance_kernels()) {
-    if (!set_distance_kernel(kernel)) continue;
+  for (const SimdLevel level : kCompiledSimdLevels) {
+    if (!distance_kernels().set(level)) continue;
     // Warm once (page in the database), then time.
     (void)brute.knn(qs[0], 2);
     t.lap();
     for (const auto& q : qs) (void)brute.knn(q, 2);
     const double ms = t.lap() * 1e3;
-    if (kernel == DistanceKernel::kScalar) scalar_ms = ms;
+    if (level == SimdLevel::kScalar) scalar_ms = ms;
     const double speedup = ms > 0 ? scalar_ms / ms : 0.0;
-    const std::string name(kernel_name(kernel));
+    const std::string name(simd_level_name(level));
     std::printf("%8s: %9.2f ms  (%.2fx vs scalar)\n", name.c_str(), ms,
                 speedup);
     std::printf(
@@ -125,15 +125,15 @@ void run_rank_section(double scale, bool smoke) {
         "\"speedup_vs_scalar\":%.3f}\n",
         name.c_str(), db_size, queries, ms, speedup);
   }
-  set_distance_kernel(original);
+  distance_kernels().set(original);
 }
 
 // ----------------------------------------------------------------- adc --
 
 /// Coarse-scan throughput and retrieval quality of the PQ path:
 ///   1. ADC scan over 16-byte codes vs exact u8-L2 over 128-byte
-///      descriptors, same candidate count, once per compiled kernel of
-///      each family — the acceptance target is >= 4x SIMD ADC vs exact.
+///      descriptors, same candidate count, once per compiled SIMD level
+///      of each — the acceptance target is >= 4x SIMD ADC vs exact.
 ///   2. recall@1 of the two-stage (ADC top-R, exact rerank) LshIndex
 ///      query against the exact-only index at several rerank depths.
 ///   3. per-shard descriptor bytes, raw vs PQ (codes + codebook).
@@ -168,18 +168,19 @@ void run_adc_section(double scale, bool smoke) {
   std::uint64_t sink = 0;
   Timer t;
   double best_exact_ms = 0, best_adc_ms = 0;
-  for (const DistanceKernel kernel : compiled_distance_kernels()) {
-    const std::string name(kernel_name(kernel));
+  for (const SimdLevel level : kCompiledSimdLevels) {
+    const std::string name(simd_level_name(level));
+    const DistanceFn distance = distance_kernels().kernel(level);
     t.lap();
     for (int s = 0; s < sweeps; ++s) {
       for (std::size_t i = 0; i < n; ++i) {
-        out[i] = distance2_u8_128_with(
-            kernel, flat.data() + ids[i] * kDescriptorDims, query.data());
+        out[i] =
+            distance(flat.data() + ids[i] * kDescriptorDims, query.data());
       }
       sink += out[n - 1];
     }
     const double ms = t.lap() * 1e3 / sweeps;
-    best_exact_ms = ms;  // compiled list is ordered fastest-last
+    best_exact_ms = ms;  // compiled list is ordered slowest first
     const double mcand = ms > 0 ? n / ms / 1e3 : 0.0;
     std::printf("exact %8s: %8.3f ms/scan  (%7.1f Mcand/s)\n", name.c_str(),
                 ms, mcand);
@@ -189,11 +190,12 @@ void run_adc_section(double scale, bool smoke) {
         "\"ms_per_scan\":%.4f,\"mcand_per_sec\":%.2f}\n",
         name.c_str(), n, ms, mcand);
   }
-  for (const DistanceKernel kernel : compiled_adc_kernels()) {
-    const std::string name(kernel_name(kernel));
+  for (const SimdLevel level : kCompiledSimdLevels) {
+    const std::string name(simd_level_name(level));
+    const AdcScanFn scan = adc_kernels().kernel(level);
     t.lap();
     for (int s = 0; s < sweeps; ++s) {
-      adc_scan_with(kernel, table, codes.data(), ids.data(), n, out.data());
+      scan(table.d.data(), codes.data(), ids.data(), n, out.data());
       sink += out[n - 1];
     }
     const double ms = t.lap() * 1e3 / sweeps;
@@ -383,7 +385,7 @@ void run_pipeline_section(double scale, bool smoke) {
 
   std::printf("\n-- pipeline: %zu keypoints/place, %d queries x %zu "
               "features --\n", kp_per_place, queries, kFeaturesPerQuery);
-  const DistanceKernel original = active_distance_kernel();
+  const SimdLevel original = distance_kernels().active();
   for (const int shards : shard_counts) {
     ServerConfig cfg;
     cfg.oracle.capacity = std::max<std::size_t>(50'000, 2 * kp_per_place);
@@ -415,10 +417,10 @@ void run_pipeline_section(double scale, bool smoke) {
       }
     }
 
-    for (const DistanceKernel kernel : compiled_distance_kernels()) {
-      if (smoke && kernel != original) continue;  // CI: active kernel only
-      if (!set_distance_kernel(kernel)) continue;
-      const std::string name(kernel_name(kernel));
+    for (const SimdLevel level : kCompiledSimdLevels) {
+      if (smoke && level != original) continue;  // CI: active level only
+      if (!distance_kernels().set(level)) continue;
+      const std::string name(simd_level_name(level));
       for (const std::size_t threads : pool_sizes) {
         std::unique_ptr<ThreadPool> pool;
         if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
@@ -455,7 +457,7 @@ void run_pipeline_section(double scale, bool smoke) {
     }
     server.store().set_pool(nullptr);
   }
-  set_distance_kernel(original);
+  distance_kernels().set(original);
 }
 
 }  // namespace
@@ -470,7 +472,7 @@ int main(int argc, char** argv) {
   print_figure_header("server hot path",
                       "SIMD ranking, pool-parallel DE, stage splits");
   std::printf("active kernel: %s%s\n",
-              std::string(vp::kernel_name(vp::active_distance_kernel()))
+              std::string(vp::simd_level_name(vp::distance_kernels().active()))
                   .c_str(),
               smoke ? "  [smoke]" : "");
 

@@ -1,10 +1,10 @@
 #include "core/server.hpp"
 
-#include "features/distance.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace vp {
 namespace {
@@ -58,10 +58,10 @@ VisualPrintServer::VisualPrintServer(ServerConfig config,
 #else
   registry.gauge("build.vp_obs").set(0);
 #endif
-  // Compiled SIMD distance-kernel variants beyond the scalar reference
-  // (0 = portable-only build).
+  // Compiled SIMD levels beyond the scalar reference (0 = portable-only
+  // build; 2 on x86: SSE2 and AVX2).
   registry.gauge("build.simd")
-      .set(static_cast<double>(compiled_distance_kernels().size() - 1));
+      .set(static_cast<double>(kCompiledSimdLevels.size() - 1));
 }
 
 const PlaceShard& VisualPrintServer::default_builder() const {

@@ -1,8 +1,8 @@
 #include "features/brief.hpp"
 
+#include <bit>
 #include <cmath>
 
-#include "features/distance.hpp"
 #include "features/sift.hpp"
 #include "imaging/filters.hpp"
 #include "util/error.hpp"
@@ -37,9 +37,11 @@ std::vector<PatternPair> make_pattern(std::uint64_t seed) {
 
 unsigned hamming_distance(const BinaryDescriptor& a,
                           const BinaryDescriptor& b) noexcept {
-  // Dispatched popcount kernel (features/distance.hpp): POPCNT/AVX2/NEON
-  // when the CPU has them, SWAR otherwise — bit-identical either way.
-  return hamming256(a.data(), b.data());
+  unsigned bits = 0;
+  for (std::size_t w = 0; w < a.size(); ++w) {
+    bits += static_cast<unsigned>(std::popcount(a[w] ^ b[w]));
+  }
+  return bits;
 }
 
 std::vector<BinaryFeature> brief_describe(const ImageF& image,

@@ -22,8 +22,8 @@ inline constexpr std::size_t kBinaryDescriptorBits = 256;
 /// 256-bit binary descriptor, 4 x u64.
 using BinaryDescriptor = std::array<std::uint64_t, 4>;
 
-/// Hamming distance between binary descriptors, via the dispatched
-/// popcount kernel (see compiled_hamming_kernels in features/distance.hpp).
+/// Hamming distance between binary descriptors: std::popcount over the
+/// four xor-ed words.
 unsigned hamming_distance(const BinaryDescriptor& a,
                           const BinaryDescriptor& b) noexcept;
 

@@ -3,26 +3,13 @@
 #include <algorithm>
 #include <atomic>
 
-#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
-// Architecture gates, mirroring features/distance.cpp: VP_DISABLE_SIMD
-// forces the portable scalar build; otherwise every kernel the target
-// architecture can express is compiled and the startup CPU probe picks.
-#if !defined(VP_DISABLE_SIMD) && (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define VP_ADC_X86 1
+#if VP_SIMD_X86
 #include <immintrin.h>
-#else
-#define VP_ADC_X86 0
-#endif
-
-#if !defined(VP_DISABLE_SIMD) && defined(__ARM_NEON)
-#define VP_ADC_NEON 1
+#elif VP_SIMD_NEON
 #include <arm_neon.h>
-#else
-#define VP_ADC_NEON 0
 #endif
 
 namespace vp {
@@ -60,10 +47,6 @@ std::uint8_t nearest_centroid(const std::uint8_t* centroids,
 
 // ---------------------------------------------------------------------------
 // ADC scan kernels
-
-using AdcScanFn = void (*)(const std::uint16_t*, const std::uint8_t*,
-                           const std::uint32_t*, std::size_t,
-                           std::uint32_t*) noexcept;
 
 inline const std::uint8_t* code_at(const std::uint8_t* codes,
                                    const std::uint32_t* ids,
@@ -114,15 +97,15 @@ void adc_scan_scalar(const std::uint16_t* lut, const std::uint8_t* codes,
 }
 #endif
 
-#if VP_ADC_X86
+#if VP_SIMD_X86
 
-// SSE4.1 has no gather: the 16 table loads stay scalar, but they fill two
+// SSE2 has no gather: the 16 table loads stay scalar, but they fill two
 // u16x8 vectors whose widening (unpack against zero keeps the values
 // unsigned) and summation are vectorized. _mm_setr_epi16 takes signed
 // shorts; the bit patterns of the u16 entries pass through unchanged.
-__attribute__((target("sse4.1"))) void adc_scan_sse41(
-    const std::uint16_t* lut, const std::uint8_t* codes,
-    const std::uint32_t* ids, std::size_t n, std::uint32_t* out) noexcept {
+void adc_scan_sse2(const std::uint16_t* lut, const std::uint8_t* codes,
+                   const std::uint32_t* ids, std::size_t n,
+                   std::uint32_t* out) noexcept {
   const __m128i zero = _mm_setzero_si128();
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchAhead < n) {
@@ -194,8 +177,11 @@ __attribute__((target("avx2"))) void adc_scan_avx2(
   } while (0)
   std::size_t i = 0;
   for (; i + 1 < n; i += 2) {
+    // Each prefetch reads its id, so each is bounded on its own.
     if (i + kPrefetchAhead < n) {
       __builtin_prefetch(code_at(codes, ids, i + kPrefetchAhead));
+    }
+    if (i + kPrefetchAhead + 1 < n) {
       __builtin_prefetch(code_at(codes, ids, i + kPrefetchAhead + 1));
     }
     __m256i sum0, sum1;
@@ -222,11 +208,11 @@ __attribute__((target("avx2"))) void adc_scan_avx2(
 #undef VP_ADC_GATHER16
 }
 
-#endif  // VP_ADC_X86
+#endif  // VP_SIMD_X86
 
-#if VP_ADC_NEON
+#if VP_SIMD_NEON
 
-// NEON has no gather either; like SSE4.1 the loads are scalar and the
+// NEON has no gather either; like SSE2 the loads are scalar and the
 // widening accumulation is vectorized.
 void adc_scan_neon(const std::uint16_t* lut, const std::uint8_t* codes,
                    const std::uint32_t* ids, std::size_t n,
@@ -254,65 +240,17 @@ void adc_scan_neon(const std::uint16_t* lut, const std::uint8_t* codes,
   }
 }
 
-#endif  // VP_ADC_NEON
+#endif  // VP_SIMD_NEON
 
-AdcScanFn adc_kernel_fn(DistanceKernel kernel) noexcept {
-  switch (kernel) {
-#if VP_ADC_X86
-    case DistanceKernel::kSse41:
-      return &adc_scan_sse41;
-    case DistanceKernel::kAvx2:
-      return &adc_scan_avx2;
-#endif
-#if VP_ADC_NEON
-    case DistanceKernel::kNeon:
-      return &adc_scan_neon;
-#endif
-    default:
-      return &adc_scan_scalar;
-  }
-}
-
-bool adc_kernel_runnable(DistanceKernel kernel) noexcept {
-  switch (kernel) {
-    case DistanceKernel::kScalar:
-      return true;
-#if VP_ADC_X86
-    case DistanceKernel::kSse41:
-      return cpu_features().sse41;
-    case DistanceKernel::kAvx2:
-      return cpu_features().avx2;
-#endif
-#if VP_ADC_NEON
-    case DistanceKernel::kNeon:
-      return true;  // compiled only when the target guarantees NEON
-#endif
-    default:
-      return false;
-  }
-}
-
-constexpr std::array kCompiledAdcKernels = {
-    DistanceKernel::kScalar,
-#if VP_ADC_X86
-    DistanceKernel::kSse41,
-    DistanceKernel::kAvx2,
-#endif
-#if VP_ADC_NEON
-    DistanceKernel::kNeon,
+SimdDispatch<AdcScanFn> g_adc_kernels{
+    &adc_scan_scalar,
+#if VP_SIMD_X86
+    &adc_scan_sse2,
+    &adc_scan_avx2,
+#elif VP_SIMD_NEON
+    &adc_scan_neon,
 #endif
 };
-
-DistanceKernel best_adc_kernel() noexcept {
-  DistanceKernel best = DistanceKernel::kScalar;
-  for (const DistanceKernel k : kCompiledAdcKernels) {
-    if (adc_kernel_runnable(k)) best = k;  // list is ordered fastest-last
-  }
-  return best;
-}
-
-std::atomic<DistanceKernel> g_adc_active{best_adc_kernel()};
-std::atomic<AdcScanFn> g_adc_fn{adc_kernel_fn(best_adc_kernel())};
 
 }  // namespace
 
@@ -506,43 +444,19 @@ PqCodebook PqCodebook::from_raw(std::span<const std::uint8_t> raw) {
 // ---------------------------------------------------------------------------
 // dispatch surface
 
-std::span<const DistanceKernel> compiled_adc_kernels() noexcept {
-  return kCompiledAdcKernels;
-}
-
-DistanceKernel active_adc_kernel() noexcept {
-  return g_adc_active.load(std::memory_order_relaxed);
-}
-
-bool set_adc_kernel(DistanceKernel kernel) noexcept {
-  bool compiled = false;
-  for (const DistanceKernel k : kCompiledAdcKernels) compiled |= (k == kernel);
-  if (!compiled || !adc_kernel_runnable(kernel)) return false;
-  g_adc_active.store(kernel, std::memory_order_relaxed);
-  g_adc_fn.store(adc_kernel_fn(kernel), std::memory_order_relaxed);
-  return true;
-}
+SimdDispatch<AdcScanFn>& adc_kernels() noexcept { return g_adc_kernels; }
 
 std::uint32_t adc_distance(const AdcTable& table,
                            const std::uint8_t* code) noexcept {
   std::uint32_t out = 0;
-  g_adc_fn.load(std::memory_order_relaxed)(table.d.data(), code, nullptr, 1,
-                                           &out);
+  g_adc_kernels.fn()(table.d.data(), code, nullptr, 1, &out);
   return out;
 }
 
 void adc_scan(const AdcTable& table, const std::uint8_t* codes,
               const std::uint32_t* ids, std::size_t n,
               std::uint32_t* out) noexcept {
-  g_adc_fn.load(std::memory_order_relaxed)(table.d.data(), codes, ids, n, out);
-}
-
-void adc_scan_with(DistanceKernel kernel, const AdcTable& table,
-                   const std::uint8_t* codes, const std::uint32_t* ids,
-                   std::size_t n, std::uint32_t* out) noexcept {
-  const AdcScanFn fn = adc_kernel_runnable(kernel) ? adc_kernel_fn(kernel)
-                                                   : &adc_scan_scalar;
-  fn(table.d.data(), codes, ids, n, out);
+  g_adc_kernels.fn()(table.d.data(), codes, ids, n, out);
 }
 
 }  // namespace vp

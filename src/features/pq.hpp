@@ -17,10 +17,10 @@
 // math throughout, so every scan kernel below returns bit-identical sums
 // and kernel choice can never change a ranking.
 //
-// The scan kernels follow the same probe-once/atomic-fn-pointer dispatch
-// pattern as features/distance.hpp: AVX2 (vpgatherdd over the table),
-// SSE4.1 (vector accumulation of scalar gathers), NEON, and a true-scalar
-// reference, pinnable via set_adc_kernel for benches and tests.
+// The scan kernels are dispatched per SIMD level like features/distance.hpp
+// (util/simd.hpp): AVX2 (vpgatherdd over the table), the SSE2 / NEON
+// baseline (vector accumulation of scalar gathers), and a true-scalar
+// reference, pinnable via adc_kernels().set for benches and tests.
 #pragma once
 
 #include <array>
@@ -30,8 +30,8 @@
 #include <span>
 #include <vector>
 
-#include "features/distance.hpp"
 #include "features/keypoint.hpp"
+#include "util/simd.hpp"
 
 namespace vp {
 
@@ -164,15 +164,18 @@ class PqCodebook {
   }
 };
 
-// --- ADC scan kernel dispatch (same pattern as set_distance_kernel) -----
+// --- ADC scan kernel dispatch ---------------------------------------------
 
-/// Kernel tiers reuse the DistanceKernel ISA enum: the ADC scan compiles
-/// the same AVX2/SSE4.1/NEON/scalar set and probes the same CPU flags.
-std::span<const DistanceKernel> compiled_adc_kernels() noexcept;
-DistanceKernel active_adc_kernel() noexcept;
-/// Pin the ADC scan kernel (benches/tests). Returns false — and changes
-/// nothing — when the kernel is not compiled in or the CPU lacks it.
-bool set_adc_kernel(DistanceKernel kernel) noexcept;
+/// Scan `n` codes against the u16 table `lut` (AdcTable::d): out[i] = ADC
+/// distance of code `ids[i]` (or code `i` when `ids` is null); `codes` is
+/// the kPqCodeBytes-stride base pointer.
+using AdcScanFn = void (*)(const std::uint16_t* lut, const std::uint8_t* codes,
+                           const std::uint32_t* ids, std::size_t n,
+                           std::uint32_t* out) noexcept;
+
+/// The ADC scan kernels, one per SIMD level: pin with adc_kernels().set,
+/// evaluate one level with adc_kernels().kernel(level).
+SimdDispatch<AdcScanFn>& adc_kernels() noexcept;
 
 /// Asymmetric distance of one 16-byte code via the active kernel.
 std::uint32_t adc_distance(const AdcTable& table,
@@ -185,11 +188,5 @@ std::uint32_t adc_distance(const AdcTable& table,
 void adc_scan(const AdcTable& table, const std::uint8_t* codes,
               const std::uint32_t* ids, std::size_t n,
               std::uint32_t* out) noexcept;
-
-/// Scan with one specific kernel regardless of the active dispatch (test
-/// harness). Falls back to scalar when `kernel` is unavailable.
-void adc_scan_with(DistanceKernel kernel, const AdcTable& table,
-                   const std::uint8_t* codes, const std::uint32_t* ids,
-                   std::size_t n, std::uint32_t* out) noexcept;
 
 }  // namespace vp

@@ -10,7 +10,6 @@
 
 #include "imaging/filters.hpp"
 #include "obs/trace.hpp"
-#include "util/cpu.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -415,18 +414,7 @@ void row_extrema_scalar(const float* const rows[3][3], int x0, int x1,
   }
 }
 
-#if !defined(VP_DISABLE_SIMD) && (defined(__GNUC__) || defined(__clang__))
-#define VP_SIFT_VECTOR_SCAN 1
-#else
-#define VP_SIFT_VECTOR_SCAN 0
-#endif
-#if VP_SIFT_VECTOR_SCAN && (defined(__x86_64__) || defined(__i386__))
-#define VP_SIFT_AVX2_SCAN 1
-#else
-#define VP_SIFT_AVX2_SCAN 0
-#endif
-
-#if VP_SIFT_VECTOR_SCAN
+#if VP_SIMD_BASELINE
 
 /// The largest float f with f <= t (t within float's range). For every
 /// float a, (a <= f) decides exactly as the double compare (a <= t): no
@@ -441,7 +429,7 @@ float float_at_or_below(double t) {
 
 typedef float F32x4 __attribute__((vector_size(16)));
 typedef std::int32_t I32x4 __attribute__((vector_size(16)));
-#if VP_SIFT_AVX2_SCAN
+#if VP_SIMD_AVX2
 typedef float F32x8 __attribute__((vector_size(32)));
 typedef std::int32_t I32x8 __attribute__((vector_size(32)));
 #endif
@@ -526,7 +514,7 @@ void row_extrema_vector(const float* const rows[3][3], int x0, int x1,
   row_extrema_body<F32x4, I32x4>(rows, x0, x1, prelim_thresh, xs);
 }
 
-#if VP_SIFT_AVX2_SCAN
+#if VP_SIMD_AVX2
 __attribute__((target("avx2"))) void row_extrema_avx2(
     const float* const rows[3][3], int x0, int x1, double prelim_thresh,
     std::vector<int>& xs) {
@@ -534,37 +522,34 @@ __attribute__((target("avx2"))) void row_extrema_avx2(
 }
 #endif
 
-#endif  // VP_SIFT_VECTOR_SCAN
+#endif  // VP_SIMD_BASELINE
 
 }  // namespace
 
 void row_extrema(const ImageF& prev, const ImageF& cur, const ImageF& next,
-                 int y, int border, double prelim_thresh, BlurKernel kernel,
+                 int y, int border, double prelim_thresh, SimdLevel level,
                  std::vector<int>& xs) {
+  using ScanFn = void (*)(const float* const[3][3], int, int, double,
+                          std::vector<int>&);
+  // One scan per compiled level, in kCompiledSimdLevels order.
+  static constexpr ScanFn kScans[] = {
+      &row_extrema_scalar,
+#if VP_SIMD_BASELINE
+      &row_extrema_vector,
+#endif
+#if VP_SIMD_AVX2
+      &row_extrema_avx2,
+#endif
+  };
+  static_assert(std::size(kScans) == kCompiledSimdLevels.size());
+  const ScanFn scan = simd_level_runnable(level)
+                          ? kScans[static_cast<std::size_t>(level)]
+                          : &row_extrema_scalar;
   const float* const rows[3][3] = {
       {prev.row(y - 1), prev.row(y), prev.row(y + 1)},
       {cur.row(y - 1), cur.row(y), cur.row(y + 1)},
       {next.row(y - 1), next.row(y), next.row(y + 1)}};
-  const int x0 = border;
-  const int x1 = cur.width() - border;
-  switch (kernel) {
-#if VP_SIFT_AVX2_SCAN
-    case BlurKernel::kAvx2:
-      if (cpu_features().avx2) {
-        row_extrema_avx2(rows, x0, x1, prelim_thresh, xs);
-        return;
-      }
-      break;
-#endif
-#if VP_SIFT_VECTOR_SCAN
-    case BlurKernel::kVector:
-      row_extrema_vector(rows, x0, x1, prelim_thresh, xs);
-      return;
-#endif
-    default:
-      break;
-  }
-  row_extrema_scalar(rows, x0, x1, prelim_thresh, xs);
+  scan(rows, border, cur.width() - border, prelim_thresh, xs);
 }
 
 }  // namespace detail
@@ -594,13 +579,13 @@ void scan_interval_rows(const detail::ScaleSpace& ss, const SiftConfig& cfg,
   const ImageF& prev = dogs[static_cast<std::size_t>(i - 1)];
   const ImageF& cur = dogs[static_cast<std::size_t>(i)];
   const ImageF& next = dogs[static_cast<std::size_t>(i + 1)];
-  const BlurKernel kernel = active_blur_kernel();
+  const SimdLevel level = blur_kernels().active();
 
   std::vector<int> xs;
   for (int y = y0; y < y1; ++y) {
     xs.clear();
     detail::row_extrema(prev, cur, next, y, cfg.border, prelim_thresh,
-                        kernel, xs);
+                        level, xs);
     for (const int x : xs) {
       auto refined = detail::refine_extremum(dogs, i, x, y, cfg);
       if (!refined) continue;

@@ -34,8 +34,8 @@ struct SiftConfig {
   /// Output is bit-identical to the sequential path for any pool size:
   /// every parallel stage writes index-addressed slots that are merged in
   /// deterministic order. Independently of the pool, the blur and the
-  /// extrema scan run the active BlurKernel (imaging/filters.hpp), whose
-  /// every variant is bit-identical to the scalar reference.
+  /// extrema scan run the blur's active SIMD level (blur_kernels() in
+  /// imaging/filters.hpp), every level bit-identical to the scalar one.
   ThreadPool* pool = nullptr;
 };
 
@@ -70,12 +70,12 @@ Descriptor compute_descriptor(const ImageF& gaussian, float x, float y,
 /// Append to `xs`, ascending, every column x in [border, width - border)
 /// of row y whose DoG value v = cur(x, y) passes the preliminary threshold
 /// (not |v| <= prelim_thresh, compared in double) and is a strict maximum
-/// or minimum of its 26 neighbours in prev/cur/next. `kernel` picks the
-/// scan as it picks the blur: kScalar the reference loop, kVector the
-/// 4-lane baseline scan, kAvx2 the 8-lane one (an unavailable kernel falls
+/// or minimum of its 26 neighbours in prev/cur/next. `level` picks the
+/// scan as it picks the blur: kScalar the reference loop, kBaseline the
+/// 4-lane scan, kAvx2 the 8-lane one (a level that is not runnable falls
 /// back to the reference). All return the same columns.
 void row_extrema(const ImageF& prev, const ImageF& cur, const ImageF& next,
-                 int y, int border, double prelim_thresh, BlurKernel kernel,
+                 int y, int border, double prelim_thresh, SimdLevel level,
                  std::vector<int>& xs);
 
 }  // namespace detail

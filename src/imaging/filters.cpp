@@ -1,8 +1,6 @@
 #include "imaging/filters.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -10,24 +8,8 @@
 #include <mutex>
 #include <vector>
 
-#include "util/cpu.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
-
-// Architecture gates, as in features/distance.cpp: VP_DISABLE_SIMD compiles
-// only the scalar reference; otherwise the vector kernels are compiled for
-// the baseline target and, on x86, for AVX2, and the CPU probe picks.
-#if !defined(VP_DISABLE_SIMD) && (defined(__GNUC__) || defined(__clang__))
-#define VP_BLUR_VECTOR 1
-#else
-#define VP_BLUR_VECTOR 0
-#endif
-
-#if VP_BLUR_VECTOR && (defined(__x86_64__) || defined(__i386__))
-#define VP_BLUR_AVX2 1
-#else
-#define VP_BLUR_AVX2 0
-#endif
 
 namespace vp {
 namespace {
@@ -118,9 +100,9 @@ void vblur_row(const float* tmp, int w, int h, float* o, int y,
 
 // --- Vector kernels ----------------------------------------------------------
 // One source, written with GCC/Clang vector extensions and templated on the
-// vector type, compiled once per target: with 4-lane vectors at the
-// baseline target (SSE2 on x86, NEON on aarch64, their native width) and,
-// on x86, with 8-lane vectors under target("avx2"). Lane j of a vector
+// vector type, compiled once per SIMD level: with 4-lane vectors at the
+// baseline target (SSE2 on x86, NEON on ARM, their native width) and, on
+// x86, with 8-lane vectors under target("avx2"). Lane j of a vector
 // accumulates exactly the scalar reference's sequence for its pixel, so
 // every variant is bit-identical to it; filters.cpp is compiled with
 // -ffp-contract=off so no target may fuse a multiply into its add. Each
@@ -128,10 +110,10 @@ void vblur_row(const float* tmp, int w, int h, float* o, int y,
 // enough to hide the add latency. Vectors stay local to one function: a
 // 32-byte vector passed or returned by value from a baseline-target
 // function changes the psABI (-Wpsabi).
-#if VP_BLUR_VECTOR
+#if VP_SIMD_BASELINE
 
 typedef float F32x4 __attribute__((vector_size(16)));
-#if VP_BLUR_AVX2
+#if VP_SIMD_AVX2
 typedef float F32x8 __attribute__((vector_size(32)));
 #endif
 
@@ -227,7 +209,7 @@ void vconv_vector(const float* const* rows, float* out, int n,
   vconv_body<F32x4>(rows, out, n, k, taps);
 }
 
-#if VP_BLUR_AVX2
+#if VP_SIMD_AVX2
 __attribute__((target("avx2"))) void hconv_avx2(const float* in, float* out,
                                                 int n, const float* k,
                                                 int taps) {
@@ -238,69 +220,9 @@ __attribute__((target("avx2"))) void vconv_avx2(const float* const* rows,
                                                 const float* k, int taps) {
   vconv_body<F32x8>(rows, out, n, k, taps);
 }
-#endif  // VP_BLUR_AVX2
+#endif  // VP_SIMD_AVX2
 
-#endif  // VP_BLUR_VECTOR
-
-struct RowKernels {
-  void (*h)(const float* in, float* out, int n, const float* k, int taps);
-  void (*v)(const float* const* rows, float* out, int n, const float* k,
-            int taps);
-};
-
-RowKernels row_kernels(BlurKernel kernel) noexcept {
-  switch (kernel) {
-#if VP_BLUR_AVX2
-    case BlurKernel::kAvx2:
-      return {&hconv_avx2, &vconv_avx2};
-#endif
-#if VP_BLUR_VECTOR
-    default:
-      return {&hconv_vector, &vconv_vector};
-#else
-    default:
-      return {nullptr, nullptr};  // unreachable: only kScalar is compiled
-#endif
-  }
-}
-
-bool blur_kernel_runnable(BlurKernel kernel) noexcept {
-  switch (kernel) {
-    case BlurKernel::kScalar:
-      return true;
-#if VP_BLUR_VECTOR
-    case BlurKernel::kVector:
-      return true;  // the baseline target
-#endif
-#if VP_BLUR_AVX2
-    case BlurKernel::kAvx2:
-      return cpu_features().avx2;
-#endif
-    default:
-      return false;
-  }
-}
-
-constexpr std::array kCompiledBlurKernels = {
-    BlurKernel::kScalar,
-#if VP_BLUR_VECTOR
-    BlurKernel::kVector,
-#endif
-#if VP_BLUR_AVX2
-    BlurKernel::kAvx2,
-#endif
-};
-
-BlurKernel best_blur_kernel() noexcept {
-  BlurKernel best = BlurKernel::kScalar;
-  for (const BlurKernel k : kCompiledBlurKernels) {
-    if (blur_kernel_runnable(k)) best = k;  // list is ordered fastest-last
-  }
-  return best;
-}
-
-// Selected once before main(); each blur pays one relaxed load.
-std::atomic<BlurKernel> g_blur_active{best_blur_kernel()};
+#endif  // VP_SIMD_BASELINE
 
 /// Run fn(y0, y1) over bands of rows covering [0, h), on the pool when
 /// given. A band lets a task set up its row buffers once.
@@ -319,6 +241,101 @@ void for_each_band(int h, ThreadPool* pool,
   }
 }
 
+// --- Row passes, one set per level -----------------------------------------
+
+void hpass_scalar(const ImageF& src, float* tmp, int y0, int y1,
+                  const float* k, int radius) {
+  const int w = src.width();
+  for (int y = y0; y < y1; ++y) {
+    hblur_row(src.row(y), tmp + static_cast<std::size_t>(y) * w, w, k,
+              radius);
+  }
+}
+
+void vpass_scalar(const float* tmp, ImageF& dst, int y0, int y1,
+                  const float* k, int radius) {
+  for (int y = y0; y < y1; ++y) {
+    vblur_row(tmp, dst.width(), dst.height(), dst.row(y), y, k, radius);
+  }
+}
+
+#if VP_SIMD_BASELINE
+
+using HConvFn = void (*)(const float* in, float* out, int n, const float* k,
+                         int taps);
+using VConvFn = void (*)(const float* const* rows, float* out, int n,
+                         const float* k, int taps);
+
+template <HConvFn Conv>
+void hpass_vector(const ImageF& src, float* tmp, int y0, int y1,
+                  const float* k, int radius) {
+  const int w = src.width();
+  // The row padded by `radius` copies of its edge pixels each side, so
+  // the kernel's clamp-free taps read what hblur_clamped reads.
+  std::vector<float> padded(static_cast<std::size_t>(w + 2 * radius));
+  for (int y = y0; y < y1; ++y) {
+    const float* s = src.row(y);
+    std::fill_n(padded.begin(), radius, s[0]);
+    std::copy(s, s + w, padded.begin() + radius);
+    std::fill_n(padded.begin() + radius + w, radius, s[w - 1]);
+    Conv(padded.data(), tmp + static_cast<std::size_t>(y) * w, w, k,
+         2 * radius + 1);
+  }
+}
+
+template <VConvFn Conv>
+void vpass_vector(const float* tmp, ImageF& dst, int y0, int y1,
+                  const float* k, int radius) {
+  const int w = dst.width();
+  const int h = dst.height();
+  const int taps = 2 * radius + 1;
+  std::vector<const float*> rows(static_cast<std::size_t>(taps));
+  for (int y = y0; y < y1; ++y) {
+    for (int i = 0; i < taps; ++i) {
+      rows[static_cast<std::size_t>(i)] =
+          tmp + static_cast<std::size_t>(std::clamp(y - radius + i, 0, h - 1)) *
+                    w;
+    }
+    Conv(rows.data(), dst.row(y), w, k, taps);
+  }
+}
+
+#endif  // VP_SIMD_BASELINE
+
+}  // namespace
+
+struct BlurRowPasses {
+  /// Horizontal pass of rows [y0, y1) of src into tmp (src's shape).
+  void (*h)(const ImageF& src, float* tmp, int y0, int y1, const float* k,
+            int radius);
+  /// Vertical pass of rows [y0, y1) of tmp (dst's shape) into dst.
+  void (*v)(const float* tmp, ImageF& dst, int y0, int y1, const float* k,
+            int radius);
+};
+
+namespace {
+
+constexpr BlurRowPasses kScalarPasses{&hpass_scalar, &vpass_scalar};
+#if VP_SIMD_BASELINE
+constexpr BlurRowPasses kBaselinePasses{&hpass_vector<&hconv_vector>,
+                                        &vpass_vector<&vconv_vector>};
+#endif
+#if VP_SIMD_AVX2
+constexpr BlurRowPasses kAvx2Passes{&hpass_vector<&hconv_avx2>,
+                                    &vpass_vector<&vconv_avx2>};
+#endif
+
+// Selected once before main(); each blur pays one relaxed load.
+SimdDispatch<const BlurRowPasses*> g_blur_kernels{
+    &kScalarPasses,
+#if VP_SIMD_BASELINE
+    &kBaselinePasses,
+#endif
+#if VP_SIMD_AVX2
+    &kAvx2Passes,
+#endif
+};
+
 }  // namespace
 
 std::size_t gaussian_kernel_cache_size() {
@@ -326,38 +343,8 @@ std::size_t gaussian_kernel_cache_size() {
   return g_kernel_cache.size();
 }
 
-std::string_view blur_kernel_name(BlurKernel kernel) noexcept {
-  switch (kernel) {
-    case BlurKernel::kScalar:
-      return "scalar";
-    case BlurKernel::kVector:
-#if defined(__x86_64__) || defined(__i386__)
-      return "sse2";
-#elif defined(__ARM_NEON)
-      return "neon";
-#else
-      return "vector";
-#endif
-    case BlurKernel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-std::span<const BlurKernel> compiled_blur_kernels() noexcept {
-  return kCompiledBlurKernels;
-}
-
-BlurKernel active_blur_kernel() noexcept {
-  return g_blur_active.load(std::memory_order_relaxed);
-}
-
-bool set_blur_kernel(BlurKernel kernel) noexcept {
-  bool compiled = false;
-  for (const BlurKernel k : kCompiledBlurKernels) compiled |= (k == kernel);
-  if (!compiled || !blur_kernel_runnable(kernel)) return false;
-  g_blur_active.store(kernel, std::memory_order_relaxed);
-  return true;
+SimdDispatch<const BlurRowPasses*>& blur_kernels() noexcept {
+  return g_blur_kernels;
 }
 
 void gaussian_blur_into(const ImageF& src, double sigma, ImageF& dst,
@@ -370,7 +357,6 @@ void gaussian_blur_into(const ImageF& src, double sigma, ImageF& dst,
   }
   const auto& k = cached_gaussian_kernel(sigma);
   const int radius = static_cast<int>(k.size() / 2);
-  const int taps = 2 * radius + 1;
   const float* kp = k.data();
   const int w = src.width();
   const int h = src.height();
@@ -379,47 +365,13 @@ void gaussian_blur_into(const ImageF& src, double sigma, ImageF& dst,
   }
   if (scratch.size() < src.pixel_count()) scratch.resize(src.pixel_count());
   float* tmp = scratch.data();
-  const auto tmp_row = [&](int y) {
-    return tmp + static_cast<std::size_t>(y) * w;
-  };
 
-  const BlurKernel kernel = active_blur_kernel();
-  if (kernel == BlurKernel::kScalar) {
-    for_each_band(h, pool, [&](int y0, int y1) {
-      for (int y = y0; y < y1; ++y) {
-        hblur_row(src.row(y), tmp_row(y), w, kp, radius);
-      }
-    });
-    for_each_band(h, pool, [&](int y0, int y1) {
-      for (int y = y0; y < y1; ++y) {
-        vblur_row(tmp, w, h, dst.row(y), y, kp, radius);
-      }
-    });
-    return;
-  }
-
-  const RowKernels rk = row_kernels(kernel);
+  const BlurRowPasses& passes = *g_blur_kernels.fn();
   for_each_band(h, pool, [&](int y0, int y1) {
-    // The row padded by `radius` copies of its edge pixels each side, so
-    // the kernel's clamp-free taps read what hblur_clamped reads.
-    std::vector<float> padded(static_cast<std::size_t>(w + 2 * radius));
-    for (int y = y0; y < y1; ++y) {
-      const float* s = src.row(y);
-      std::fill_n(padded.begin(), radius, s[0]);
-      std::copy(s, s + w, padded.begin() + radius);
-      std::fill_n(padded.begin() + radius + w, radius, s[w - 1]);
-      rk.h(padded.data(), tmp_row(y), w, kp, taps);
-    }
+    passes.h(src, tmp, y0, y1, kp, radius);
   });
   for_each_band(h, pool, [&](int y0, int y1) {
-    std::vector<const float*> rows(static_cast<std::size_t>(taps));
-    for (int y = y0; y < y1; ++y) {
-      for (int i = 0; i < taps; ++i) {
-        rows[static_cast<std::size_t>(i)] =
-            tmp_row(std::clamp(y - radius + i, 0, h - 1));
-      }
-      rk.v(rows.data(), dst.row(y), w, kp, taps);
-    }
+    passes.v(tmp, dst, y0, y1, kp, radius);
   });
 }
 

@@ -4,46 +4,31 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
-#include <string_view>
 #include <vector>
 
 #include "imaging/image.hpp"
+#include "util/simd.hpp"
 
 namespace vp {
 
 class ThreadPool;
 
-/// Row kernels of the separable Gaussian blur. Every variant sums each
-/// output's taps in the same order with a separate multiply and add, so
-/// every variant is bit-identical to the scalar reference.
-enum class BlurKernel : std::uint8_t {
-  kScalar = 0,  ///< the reference loops; the only one under VP_DISABLE_SIMD
-  kVector = 1,  ///< 4-lane vectors at the baseline target (SSE2 / NEON)
-  kAvx2 = 2,    ///< the same source with 8-lane vectors under AVX2 (x86)
-};
+/// One SIMD level's horizontal and vertical row passes of the separable
+/// Gaussian blur (defined in filters.cpp). Every level sums each output's
+/// taps in the same order with a separate multiply and add, so every level
+/// is bit-identical to the scalar reference.
+struct BlurRowPasses;
 
-/// "scalar", "sse2" / "neon" / "vector" (by target), or "avx2".
-std::string_view blur_kernel_name(BlurKernel kernel) noexcept;
-
-/// Kernels compiled into this binary, fastest last; always has kScalar.
-std::span<const BlurKernel> compiled_blur_kernels() noexcept;
-
-/// The kernel gaussian_blur runs: the fastest compiled kernel the CPU
-/// supports, picked once before main(). The SIFT DoG extrema scan follows
-/// it too: kScalar runs its scalar reference, any other its vector scan.
-BlurKernel active_blur_kernel() noexcept;
-
-/// Pin the active kernel (tests and benches compare against kScalar).
-/// Returns false, changing nothing, when `kernel` is not compiled in or
-/// the CPU lacks it. Not safe concurrently with blurs in flight.
-bool set_blur_kernel(BlurKernel kernel) noexcept;
+/// The blur kernels, one per SIMD level (util/simd.hpp): tests and benches
+/// pin a level with blur_kernels().set(level) and read it with .active().
+/// The SIFT DoG extrema scan follows the same level.
+SimdDispatch<const BlurRowPasses*>& blur_kernels() noexcept;
 
 /// Separable Gaussian blur with kernel radius ceil(3*sigma). sigma <= 0
 /// returns a copy. When `pool` is non-null the horizontal and vertical
 /// passes are split by rows across it; the output is bit-identical to the
 /// sequential path for any pool size (each row is computed independently
-/// by one task) and for every BlurKernel.
+/// by one task) and for every SIMD level.
 ImageF gaussian_blur(const ImageF& src, double sigma,
                      ThreadPool* pool = nullptr);
 

@@ -1,22 +1,18 @@
-// CPU instruction-set probe shared by every SIMD kernel dispatch.
+// CPU instruction-set probe behind the SIMD kernel dispatch (util/simd.hpp).
 //
-// Each dispatching module (descriptor distance, Hamming, PQ ADC scan,
-// Gaussian blur) compiles the kernels its target architecture can express
-// and asks here which of them the running CPU can execute. The CPU is
-// probed once, on first use; off x86 every flag is false (NEON kernels are
-// compiled only when the target guarantees NEON, so they need no probe).
+// The only level that needs a probe is AVX2: the baseline level (SSE2 on
+// x86-64, NEON on ARM) is guaranteed by the target. The CPU is probed once,
+// on first use; off x86 the flag is false.
 #pragma once
 
 namespace vp {
 
 struct CpuFeatures {
-  bool sse41 = false;
-  bool popcnt = false;
   bool avx2 = false;
 };
 
 /// The running CPU's features, probed on the first call and cached. Safe
-/// to call before main() (the kernel-selection statics do).
+/// to call before main() (the kernel-dispatch statics do).
 const CpuFeatures& cpu_features() noexcept;
 
 }  // namespace vp

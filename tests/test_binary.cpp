@@ -35,6 +35,33 @@ TEST(Hamming, DistanceBasics) {
   b[3] = ~0ULL;
   EXPECT_EQ(hamming_distance(a, b), 67u);
   EXPECT_EQ(hamming_distance(b, a), 67u);
+
+  // All ones against zero, and one bit in each word (the top bit of the
+  // last word included).
+  const BinaryDescriptor zeros{};
+  const BinaryDescriptor ones{~0ULL, ~0ULL, ~0ULL, ~0ULL};
+  EXPECT_EQ(hamming_distance(ones, zeros), 256u);
+  EXPECT_EQ(hamming_distance(ones, ones), 0u);
+  for (std::size_t w = 0; w < zeros.size(); ++w) {
+    for (const int bit : {0, 31, 63}) {
+      BinaryDescriptor one_bit{};
+      one_bit[w] = 1ULL << bit;
+      EXPECT_EQ(hamming_distance(one_bit, zeros), 1u);
+      EXPECT_EQ(hamming_distance(one_bit, ones), 255u);
+    }
+  }
+
+  // Random words against a bit-at-a-time count.
+  Rng rng(0xbadb17ul);
+  for (int i = 0; i < 1000; ++i) {
+    const BinaryDescriptor x = random_binary(rng);
+    const BinaryDescriptor y = random_binary(rng);
+    unsigned naive = 0;
+    for (std::size_t w = 0; w < x.size(); ++w) {
+      for (int bit = 0; bit < 64; ++bit) naive += ((x[w] ^ y[w]) >> bit) & 1u;
+    }
+    EXPECT_EQ(hamming_distance(x, y), naive);
+  }
 }
 
 TEST(Brief, DescribesAllKeypoints) {

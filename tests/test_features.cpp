@@ -45,17 +45,7 @@ TEST(Descriptor, DistanceMaxBound) {
   EXPECT_EQ(descriptor_distance2(a, b), 128u * 255u * 255u);
 }
 
-TEST(DistanceKernels, ScalarAlwaysCompiledAndActiveIsCompiled) {
-  const auto kernels = compiled_distance_kernels();
-  ASSERT_FALSE(kernels.empty());
-  EXPECT_EQ(kernels.front(), DistanceKernel::kScalar);
-  bool active_listed = false;
-  for (const auto k : kernels) active_listed |= (k == active_distance_kernel());
-  EXPECT_TRUE(active_listed);
-  EXPECT_FALSE(kernel_name(active_distance_kernel()).empty());
-}
-
-// Every compiled-in kernel must agree bit-for-bit with the scalar loop:
+// Every compiled level must agree bit-for-bit with the scalar loop:
 // 10k random pairs plus the adversarial extremes (all-zero, all-255, and
 // saturating alternations that maximize each i16 lane product).
 TEST(DistanceKernels, BitIdenticalToScalarOnRandomAndAdversarialPairs) {
@@ -79,110 +69,26 @@ TEST(DistanceKernels, BitIdenticalToScalarOnRandomAndAdversarialPairs) {
   pairs.emplace_back(alt_a, alt_b);
   pairs.emplace_back(alt_a, maxed);
 
-  for (const DistanceKernel kernel : compiled_distance_kernels()) {
-    SCOPED_TRACE(std::string(kernel_name(kernel)));
+  const DistanceFn scalar = distance_kernels().kernel(SimdLevel::kScalar);
+  for (const SimdLevel level : kCompiledSimdLevels) {
+    SCOPED_TRACE(std::string(simd_level_name(level)));
+    const DistanceFn kernel = distance_kernels().kernel(level);
     for (const auto& [a, b] : pairs) {
-      const std::uint32_t expected =
-          distance2_u8_128_with(DistanceKernel::kScalar, a.data(), b.data());
-      EXPECT_EQ(distance2_u8_128_with(kernel, a.data(), b.data()), expected);
+      EXPECT_EQ(kernel(a.data(), b.data()), scalar(a.data(), b.data()));
     }
   }
 }
 
-TEST(DistanceKernels, SetKernelSwitchesDispatchAndRejectsUncompiled) {
-  const DistanceKernel original = active_distance_kernel();
-  for (const DistanceKernel kernel : compiled_distance_kernels()) {
-    ASSERT_TRUE(set_distance_kernel(kernel));
-    EXPECT_EQ(active_distance_kernel(), kernel);
-    Descriptor a{}, b{};
-    b[0] = 3;
-    b[127] = 4;
-    EXPECT_EQ(descriptor_distance2(a, b), 25u);  // dispatch stays exact
-  }
-  // A kernel for a foreign architecture is never switchable: NEON on x86
-  // builds, AVX2 on ARM builds (and everything but scalar under
-  // VP_DISABLE_SIMD).
-  const auto kernels = compiled_distance_kernels();
-  for (const DistanceKernel probe :
-       {DistanceKernel::kSse41, DistanceKernel::kAvx2, DistanceKernel::kNeon}) {
-    bool compiled = false;
-    for (const auto k : kernels) compiled |= (k == probe);
-    if (!compiled) {
-      EXPECT_FALSE(set_distance_kernel(probe));
-    }
-  }
-  ASSERT_TRUE(set_distance_kernel(original));
-}
-
-TEST(HammingKernels, ScalarAlwaysCompiledAndActiveIsCompiled) {
-  const auto kernels = compiled_hamming_kernels();
-  ASSERT_FALSE(kernels.empty());
-  EXPECT_EQ(kernels.front(), HammingKernel::kScalar);
-  bool active_listed = false;
-  for (const auto k : kernels) active_listed |= (k == active_hamming_kernel());
-  EXPECT_TRUE(active_listed);
-  EXPECT_FALSE(kernel_name(active_hamming_kernel()).empty());
-}
-
-// Every compiled-in popcount kernel must agree bit-for-bit with a naive
-// bit-at-a-time count: 10k random word pairs plus the adversarial
-// patterns (all-zero, all-ones, alternating nibbles that exercise every
-// entry of the AVX2 nibble lookup, and single-bit words).
-TEST(HammingKernels, BitIdenticalToNaiveOnRandomAndAdversarialWords) {
-  using Words = std::array<std::uint64_t, 4>;
-  std::vector<std::pair<Words, Words>> pairs;
-  Rng rng(0xbadb17ul);
-  for (int i = 0; i < 10'000; ++i) {
-    Words a, b;
-    for (auto& w : a) w = rng.next_u64();
-    for (auto& w : b) w = rng.next_u64();
-    pairs.emplace_back(a, b);
-  }
-  const Words zeros{}, ones{0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFFull,
-                          0xFFFFFFFFFFFFFFFFull, 0xFFFFFFFFFFFFFFFFull};
-  const Words nibbles{0x0123456789ABCDEFull, 0xFEDCBA9876543210ull,
-                      0xAAAAAAAAAAAAAAAAull, 0x5555555555555555ull};
-  Words one_bit{};
-  one_bit[3] = 1ull << 63;
-  pairs.emplace_back(zeros, zeros);
-  pairs.emplace_back(zeros, ones);
-  pairs.emplace_back(ones, ones);
-  pairs.emplace_back(nibbles, zeros);
-  pairs.emplace_back(one_bit, zeros);
-
-  for (const auto& [a, b] : pairs) {
-    std::uint32_t naive = 0;
-    for (std::size_t w = 0; w < kHammingWords; ++w) {
-      const std::uint64_t x = a[w] ^ b[w];
-      for (int bit = 0; bit < 64; ++bit) naive += (x >> bit) & 1u;
-    }
-    for (const HammingKernel kernel : compiled_hamming_kernels()) {
-      SCOPED_TRACE(std::string(kernel_name(kernel)));
-      EXPECT_EQ(hamming256_with(kernel, a.data(), b.data()), naive);
-    }
-  }
-}
-
-TEST(HammingKernels, SetKernelSwitchesDispatchAndRejectsUncompiled) {
-  const HammingKernel original = active_hamming_kernel();
-  const std::array<std::uint64_t, 4> a{1, 2, 3, 4};
-  const std::array<std::uint64_t, 4> b{0, 2, 3, 0xF4};
-  // a^b = {1, 0, 0, 0xF0} -> 1 + 0 + 0 + 4 bits.
-  for (const HammingKernel kernel : compiled_hamming_kernels()) {
-    ASSERT_TRUE(set_hamming_kernel(kernel));
-    EXPECT_EQ(active_hamming_kernel(), kernel);
-    EXPECT_EQ(hamming256(a.data(), b.data()), 5u);
-  }
-  const auto kernels = compiled_hamming_kernels();
-  for (const HammingKernel probe :
-       {HammingKernel::kPopcnt, HammingKernel::kAvx2, HammingKernel::kNeon}) {
-    bool compiled = false;
-    for (const auto k : kernels) compiled |= (k == probe);
-    if (!compiled) {
-      EXPECT_FALSE(set_hamming_kernel(probe));
-    }
-  }
-  ASSERT_TRUE(set_hamming_kernel(original));
+// Each kernel module instantiates SimdDispatch (tested on its own in
+// test_util.cpp) and starts at the best level the CPU runs.
+TEST(SimdDispatch, KernelModulesStartAtTheBestRunnableLevel) {
+  EXPECT_EQ(distance_kernels().active(), best_simd_level());
+  EXPECT_EQ(adc_kernels().active(), best_simd_level());
+  EXPECT_EQ(blur_kernels().active(), best_simd_level());
+  EXPECT_EQ(distance_kernels().fn(),
+            distance_kernels().kernel(best_simd_level()));
+  EXPECT_EQ(adc_kernels().fn(), adc_kernels().kernel(best_simd_level()));
+  EXPECT_EQ(blur_kernels().fn(), blur_kernels().kernel(best_simd_level()));
 }
 
 /// `count` random full-range descriptors at 128-byte stride (the LshIndex
@@ -304,15 +210,6 @@ TEST(Pq, SymmetricAdcTableMatchesAsymmetricOnReconstruction) {
   EXPECT_EQ(a.d, b.d);
 }
 
-TEST(AdcKernels, ScalarAlwaysCompiledAndActiveIsCompiled) {
-  const auto kernels = compiled_adc_kernels();
-  ASSERT_FALSE(kernels.empty());
-  EXPECT_EQ(kernels.front(), DistanceKernel::kScalar);
-  bool active_listed = false;
-  for (const auto k : kernels) active_listed |= (k == active_adc_kernel());
-  EXPECT_TRUE(active_listed);
-}
-
 TEST(AdcKernels, AdcDistanceMatchesNaiveTableSum) {
   const auto flat = random_flat_descriptors(500, 0x9003ul);
   const PqCodebook book = PqCodebook::train(flat.data(), 500);
@@ -342,7 +239,7 @@ TEST(AdcKernels, AdcDistanceMatchesNaiveTableSum) {
   EXPECT_EQ(adc_distance(table, code.data()), naive);
 }
 
-// Every compiled ADC kernel must produce the scalar kernel's sums, both
+// Every compiled ADC level must produce the scalar kernel's sums, both
 // for sequential scans (ids == nullptr) and gathered id lists, including
 // a table where entries saturate at 0xFFFF — which also proves the AVX2
 // gather masks its 32-bit loads down to the 16-bit entry.
@@ -377,52 +274,24 @@ TEST(AdcKernels, BitIdenticalToScalarWithAndWithoutIds) {
       trained.build_adc_table(flat.data() + 3 * kDescriptorDims, table);
     }
     std::vector<std::uint32_t> expect_seq(n), expect_ids(ids.size());
-    adc_scan_with(DistanceKernel::kScalar, table, codes.data(), nullptr, n,
-                  expect_seq.data());
-    adc_scan_with(DistanceKernel::kScalar, table, codes.data(), ids.data(),
-                  ids.size(), expect_ids.data());
+    const AdcScanFn scalar = adc_kernels().kernel(SimdLevel::kScalar);
+    scalar(table.d.data(), codes.data(), nullptr, n, expect_seq.data());
+    scalar(table.d.data(), codes.data(), ids.data(), ids.size(),
+           expect_ids.data());
     if (saturated) {
       EXPECT_EQ(expect_seq[0], 16u * 0xFFFFu);
     }
-    for (const DistanceKernel kernel : compiled_adc_kernels()) {
-      SCOPED_TRACE(std::string(kernel_name(kernel)));
+    for (const SimdLevel level : kCompiledSimdLevels) {
+      SCOPED_TRACE(std::string(simd_level_name(level)));
+      const AdcScanFn scan = adc_kernels().kernel(level);
       std::vector<std::uint32_t> got_seq(n), got_ids(ids.size());
-      adc_scan_with(kernel, table, codes.data(), nullptr, n, got_seq.data());
-      adc_scan_with(kernel, table, codes.data(), ids.data(), ids.size(),
-                    got_ids.data());
+      scan(table.d.data(), codes.data(), nullptr, n, got_seq.data());
+      scan(table.d.data(), codes.data(), ids.data(), ids.size(),
+           got_ids.data());
       EXPECT_EQ(got_seq, expect_seq);
       EXPECT_EQ(got_ids, expect_ids);
     }
   }
-}
-
-TEST(AdcKernels, SetKernelSwitchesDispatchAndRejectsUncompiled) {
-  const DistanceKernel original = active_adc_kernel();
-  const auto flat = random_flat_descriptors(300, 0x9007ul);
-  const PqCodebook book = PqCodebook::train(flat.data(), 300);
-  AdcTable table;
-  book.build_adc_table(flat.data(), table);
-  std::array<std::uint8_t, kPqCodeBytes> code{};
-  book.encode(flat.data(), code.data());
-  std::uint32_t expected = 0;
-  for (std::size_t s = 0; s < kPqSubspaces; ++s) {
-    expected += table.d[s * kPqCentroids + code[s]];
-  }
-  for (const DistanceKernel kernel : compiled_adc_kernels()) {
-    ASSERT_TRUE(set_adc_kernel(kernel));
-    EXPECT_EQ(active_adc_kernel(), kernel);
-    EXPECT_EQ(adc_distance(table, code.data()), expected);
-  }
-  const auto kernels = compiled_adc_kernels();
-  for (const DistanceKernel probe :
-       {DistanceKernel::kSse41, DistanceKernel::kAvx2, DistanceKernel::kNeon}) {
-    bool compiled = false;
-    for (const auto k : kernels) compiled |= (k == probe);
-    if (!compiled) {
-      EXPECT_FALSE(set_adc_kernel(probe));
-    }
-  }
-  ASSERT_TRUE(set_adc_kernel(original));
 }
 
 TEST(Feature, SerializeRoundtrip) {
@@ -540,11 +409,11 @@ TEST(Sift, ScalarAndActiveScaleSpaceKernelsAgreeOnOfficeFrame) {
       look_at(CameraIntrinsics{920, 540, 1.15192}, {9, 5, 1.5}, {9, 8, 1.5});
   const ImageF frame = render(world, cam, {}, rng).image;
 
-  const BlurKernel active = active_blur_kernel();
-  ASSERT_TRUE(set_blur_kernel(BlurKernel::kScalar));
+  const SimdLevel active = blur_kernels().active();
+  ASSERT_TRUE(blur_kernels().set(SimdLevel::kScalar));
   const auto reference = sift_detect(frame);
   const auto reference_ss = detail::build_scale_space(frame, {});
-  ASSERT_TRUE(set_blur_kernel(active));
+  ASSERT_TRUE(blur_kernels().set(active));
   ASSERT_GT(reference.size(), 50u);
 
   const auto ss = detail::build_scale_space(frame, {});
@@ -556,7 +425,7 @@ TEST(Sift, ScalarAndActiveScaleSpaceKernelsAgreeOnOfficeFrame) {
     SiftConfig cfg;
     cfg.pool = pool.get();
     expect_same_features(sift_detect(frame, cfg), reference,
-                         std::string(blur_kernel_name(active)) + ", " +
+                         std::string(simd_level_name(active)) + ", " +
                              std::to_string(threads) + " threads");
   }
 }
@@ -591,10 +460,10 @@ TEST(Sift, ExtremaThresholdDecidedExactlyAtTheBoundary) {
     // Both decisions occur among the three magnitudes.
     ASSERT_GT(want.size(), 0u);
     ASSERT_LT(want.size(), values.size());
-    for (const BlurKernel kernel : compiled_blur_kernels()) {
+    for (const SimdLevel level : kCompiledSimdLevels) {
       std::vector<int> got;
-      detail::row_extrema(prev, cur, next, 1, kBorder, thresh, kernel, got);
-      EXPECT_EQ(got, want) << blur_kernel_name(kernel) << " threshold "
+      detail::row_extrema(prev, cur, next, 1, kBorder, thresh, level, got);
+      EXPECT_EQ(got, want) << simd_level_name(level) << " threshold "
                            << thresh;
     }
   }

@@ -140,23 +140,22 @@ TEST(Filters, BlurWithPoolMatchesSequentialExactly) {
   }
 }
 
-/// gaussian_blur with `kernel` pinned, then the active kernel restored.
-ImageF blur_with(BlurKernel kernel, const ImageF& img, double sigma) {
-  const BlurKernel active = active_blur_kernel();
-  EXPECT_TRUE(set_blur_kernel(kernel));
+/// gaussian_blur with `level` pinned, then the active level restored.
+ImageF blur_with(SimdLevel level, const ImageF& img, double sigma) {
+  const SimdLevel active = blur_kernels().active();
+  EXPECT_TRUE(blur_kernels().set(level));
   ImageF out = gaussian_blur(img, sigma);
-  EXPECT_TRUE(set_blur_kernel(active));
+  EXPECT_TRUE(blur_kernels().set(active));
   return out;
 }
 
-// Every compiled blur kernel must reproduce the scalar reference byte for
+// Every compiled blur level must reproduce the scalar reference byte for
 // byte. The sigmas are the default SIFT pyramid's (base 1.52 and the five
 // increments, radius 4-10) plus a sub-pixel and a wide one. Widths run
 // from 1 to 2*radius + 17, so every split between the clamped borders,
 // the vector steps and the scalar tail runs, including images narrower
 // than the kernel; heights 1-3 cover the vertical clamp.
 TEST(Filters, EveryBlurKernelMatchesScalarReference) {
-  ASSERT_EQ(compiled_blur_kernels().front(), BlurKernel::kScalar);
   Rng rng(21);
   for (const double sigma : {1.52, 1.23, 1.55, 1.95, 2.46, 3.10, 0.3, 8.0}) {
     const int radius =
@@ -167,14 +166,13 @@ TEST(Filters, EveryBlurKernelMatchesScalarReference) {
         for (auto& p : img.pixels()) {
           p = static_cast<float>(rng.uniform(0, 255));
         }
-        const ImageF ref =
-            blur_with(BlurKernel::kScalar, img, sigma);
-        for (const BlurKernel kernel : compiled_blur_kernels()) {
-          const ImageF got = blur_with(kernel, img, sigma);
+        const ImageF ref = blur_with(SimdLevel::kScalar, img, sigma);
+        for (const SimdLevel level : kCompiledSimdLevels) {
+          const ImageF got = blur_with(level, img, sigma);
           ASSERT_EQ(got.width(), w);
           ASSERT_EQ(got.height(), h);
           ASSERT_EQ(std::memcmp(got.data(), ref.data(), ref.byte_size()), 0)
-              << blur_kernel_name(kernel) << " sigma " << sigma << " " << w
+              << simd_level_name(level) << " sigma " << sigma << " " << w
               << "x" << h;
         }
       }
@@ -183,22 +181,22 @@ TEST(Filters, EveryBlurKernelMatchesScalarReference) {
 }
 
 TEST(Filters, ActiveBlurKernelIsCompiledAndPinnable) {
-  const BlurKernel active = active_blur_kernel();
-  const auto compiled = compiled_blur_kernels();
+  const SimdLevel active = blur_kernels().active();
+  const auto& compiled = kCompiledSimdLevels;
   EXPECT_NE(std::find(compiled.begin(), compiled.end(), active),
             compiled.end());
-  EXPECT_TRUE(set_blur_kernel(BlurKernel::kScalar));
-  EXPECT_EQ(active_blur_kernel(), BlurKernel::kScalar);
-  EXPECT_TRUE(set_blur_kernel(active));
-  EXPECT_EQ(active_blur_kernel(), active);
-  // Only compiled kernels are switchable (under VP_DISABLE_SIMD that is
+  EXPECT_TRUE(blur_kernels().set(SimdLevel::kScalar));
+  EXPECT_EQ(blur_kernels().active(), SimdLevel::kScalar);
+  EXPECT_TRUE(blur_kernels().set(active));
+  EXPECT_EQ(blur_kernels().active(), active);
+  // Only compiled levels are switchable (under VP_DISABLE_SIMD that is
   // kScalar alone).
-  for (const BlurKernel probe : {BlurKernel::kVector, BlurKernel::kAvx2}) {
+  for (const SimdLevel probe : {SimdLevel::kBaseline, SimdLevel::kAvx2}) {
     if (std::find(compiled.begin(), compiled.end(), probe) == compiled.end()) {
-      EXPECT_FALSE(set_blur_kernel(probe));
+      EXPECT_FALSE(blur_kernels().set(probe));
     }
   }
-  EXPECT_EQ(active_blur_kernel(), active);
+  EXPECT_EQ(blur_kernels().active(), active);
 }
 
 TEST(Filters, BlurIntoMatchesBlurAndReusesBuffers) {

@@ -197,12 +197,12 @@ TEST(LshIndex, MatchListsBitIdenticalAcrossKernels) {
   for (int i = 0; i < 32; ++i) {
     queries.push_back(perturb(db[static_cast<std::size_t>(i * 9)], rng, 2));
   }
-  const DistanceKernel original = active_distance_kernel();
-  ASSERT_TRUE(set_distance_kernel(DistanceKernel::kScalar));
+  const SimdLevel original = distance_kernels().active();
+  ASSERT_TRUE(distance_kernels().set(SimdLevel::kScalar));
   const auto reference = index.query_batch(queries, 4, nullptr);
-  for (const DistanceKernel kernel : compiled_distance_kernels()) {
-    SCOPED_TRACE(std::string(kernel_name(kernel)));
-    ASSERT_TRUE(set_distance_kernel(kernel));
+  for (const SimdLevel level : kCompiledSimdLevels) {
+    SCOPED_TRACE(std::string(simd_level_name(level)));
+    ASSERT_TRUE(distance_kernels().set(level));
     const auto got = index.query_batch(queries, 4, nullptr);
     ASSERT_EQ(got.size(), reference.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -213,7 +213,7 @@ TEST(LshIndex, MatchListsBitIdenticalAcrossKernels) {
       }
     }
   }
-  ASSERT_TRUE(set_distance_kernel(original));
+  ASSERT_TRUE(distance_kernels().set(original));
 }
 
 TEST(LshIndex, DescriptorAccessorsRoundtripFlatStorage) {
@@ -374,18 +374,18 @@ TEST(PqIndex, AdcResultsDeterministicAcrossKernelsAndPools) {
     queries.push_back(perturb(bases[static_cast<std::size_t>(i % 4)], rng, 2));
   }
 
-  const DistanceKernel dist_original = active_distance_kernel();
-  const DistanceKernel adc_original = active_adc_kernel();
-  ASSERT_TRUE(set_distance_kernel(DistanceKernel::kScalar));
-  ASSERT_TRUE(set_adc_kernel(DistanceKernel::kScalar));
+  const SimdLevel dist_original = distance_kernels().active();
+  const SimdLevel adc_original = adc_kernels().active();
+  ASSERT_TRUE(distance_kernels().set(SimdLevel::kScalar));
+  ASSERT_TRUE(adc_kernels().set(SimdLevel::kScalar));
   const auto reference = index.query_batch(queries, 4, nullptr);
 
-  for (const DistanceKernel adc : compiled_adc_kernels()) {
-    ASSERT_TRUE(set_adc_kernel(adc));
-    for (const DistanceKernel dist : compiled_distance_kernels()) {
-      ASSERT_TRUE(set_distance_kernel(dist));
-      SCOPED_TRACE("adc=" + std::string(kernel_name(adc)) +
-                   " dist=" + std::string(kernel_name(dist)));
+  for (const SimdLevel adc : kCompiledSimdLevels) {
+    ASSERT_TRUE(adc_kernels().set(adc));
+    for (const SimdLevel dist : kCompiledSimdLevels) {
+      ASSERT_TRUE(distance_kernels().set(dist));
+      SCOPED_TRACE("adc=" + std::string(simd_level_name(adc)) +
+                   " dist=" + std::string(simd_level_name(dist)));
       for (const std::size_t threads : {0u, 1u, 4u}) {
         std::unique_ptr<ThreadPool> pool;
         if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
@@ -401,8 +401,8 @@ TEST(PqIndex, AdcResultsDeterministicAcrossKernelsAndPools) {
       }
     }
   }
-  ASSERT_TRUE(set_distance_kernel(dist_original));
-  ASSERT_TRUE(set_adc_kernel(adc_original));
+  ASSERT_TRUE(distance_kernels().set(dist_original));
+  ASSERT_TRUE(adc_kernels().set(adc_original));
 }
 
 // Recall-regression guard (acceptance bar: >= 0.95). The coarse ADC scan
@@ -516,18 +516,18 @@ TEST(CompactUplink, SymmetricCodesPathBitIdenticalAcrossKernelsAndPools) {
     queries.push_back(rebuilt);
   }
 
-  const DistanceKernel dist_original = active_distance_kernel();
-  const DistanceKernel adc_original = active_adc_kernel();
-  ASSERT_TRUE(set_distance_kernel(DistanceKernel::kScalar));
-  ASSERT_TRUE(set_adc_kernel(DistanceKernel::kScalar));
+  const SimdLevel dist_original = distance_kernels().active();
+  const SimdLevel adc_original = adc_kernels().active();
+  ASSERT_TRUE(distance_kernels().set(SimdLevel::kScalar));
+  ASSERT_TRUE(adc_kernels().set(SimdLevel::kScalar));
   const auto reference = index.query_batch(queries, 4, nullptr);
 
-  for (const DistanceKernel adc : compiled_adc_kernels()) {
-    ASSERT_TRUE(set_adc_kernel(adc));
-    for (const DistanceKernel dist : compiled_distance_kernels()) {
-      ASSERT_TRUE(set_distance_kernel(dist));
-      SCOPED_TRACE("adc=" + std::string(kernel_name(adc)) +
-                   " dist=" + std::string(kernel_name(dist)));
+  for (const SimdLevel adc : kCompiledSimdLevels) {
+    ASSERT_TRUE(adc_kernels().set(adc));
+    for (const SimdLevel dist : kCompiledSimdLevels) {
+      ASSERT_TRUE(distance_kernels().set(dist));
+      SCOPED_TRACE("adc=" + std::string(simd_level_name(adc)) +
+                   " dist=" + std::string(simd_level_name(dist)));
       for (const std::size_t threads : {0u, 1u, 4u}) {
         std::unique_ptr<ThreadPool> pool;
         if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
@@ -543,8 +543,8 @@ TEST(CompactUplink, SymmetricCodesPathBitIdenticalAcrossKernelsAndPools) {
       }
     }
   }
-  ASSERT_TRUE(set_distance_kernel(dist_original));
-  ASSERT_TRUE(set_adc_kernel(adc_original));
+  ASSERT_TRUE(distance_kernels().set(dist_original));
+  ASSERT_TRUE(adc_kernels().set(adc_original));
 }
 
 TEST(CompactUplink, QueryBatchCodesFallsBackWhenPqUnready) {

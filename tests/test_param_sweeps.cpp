@@ -45,6 +45,11 @@ struct CamParams {
   double fov;
 };
 
+/// Names each case (ctest appends it to the test id), e.g. "640x480 fov=1.15".
+void PrintTo(const CamParams& p, std::ostream* os) {
+  *os << p.width << "x" << p.height << " fov=" << p.fov;
+}
+
 class CameraGridTest : public ::testing::TestWithParam<CamParams> {};
 
 TEST_P(CameraGridTest, ProjectRayConsistency) {

@@ -4,7 +4,6 @@
 // crash), and selection-policy invariants.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 
 #include "core/client.hpp"
@@ -116,14 +115,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------------
 // Oracle ranking quality across aggregates and K.
-// ctest names each case after a byte dump of its parameter, so the seven
-// bytes after the one-byte aggregate are a zeroed field: as padding they
-// held stack garbage and renamed the test on every run.
 struct OracleParams {
   OracleAggregate aggregate;
-  std::array<std::uint8_t, 7> zero{};
   std::size_t hashes;
 };
+
+/// Names each case (ctest appends it to the test id), e.g. "median K=8".
+void PrintTo(const OracleParams& p, std::ostream* os) {
+  constexpr const char* kNames[] = {"min", "median", "mean", "max"};
+  *os << kNames[static_cast<std::size_t>(p.aggregate)] << " K=" << p.hashes;
+}
 
 class OracleGridTest : public ::testing::TestWithParam<OracleParams> {};
 

@@ -2,11 +2,15 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -317,6 +321,96 @@ TEST(Table, NumAndBytesFormatting) {
   EXPECT_EQ(Table::bytes_human(512), "512.0 B");
   EXPECT_EQ(Table::bytes_human(2048), "2.0 KB");
   EXPECT_EQ(Table::bytes_human(3.5 * 1024 * 1024), "3.5 MB");
+}
+
+
+// --- SimdDispatch: the one kernel-dispatch template ---------------------
+
+// A probe "kernel" per level that returns its level's index.
+template <std::size_t I>
+std::size_t level_probe() {
+  return I;
+}
+using ProbeFn = std::size_t (*)();
+
+template <std::size_t... I>
+std::unique_ptr<SimdDispatch<ProbeFn>> make_probe_dispatch(
+    std::index_sequence<I...>) {
+  return std::make_unique<SimdDispatch<ProbeFn>>(&level_probe<I>...);
+}
+
+std::unique_ptr<SimdDispatch<ProbeFn>> make_probe_dispatch() {
+  return make_probe_dispatch(
+      std::make_index_sequence<kCompiledSimdLevels.size()>());
+}
+
+constexpr SimdLevel kEveryLevel[] = {SimdLevel::kScalar, SimdLevel::kBaseline,
+                                     SimdLevel::kAvx2};
+
+TEST(SimdDispatch, CompiledLevelsStartAtScalarInOrder) {
+  const auto& levels = kCompiledSimdLevels;
+  ASSERT_FALSE(levels.empty());
+  EXPECT_EQ(levels.front(), SimdLevel::kScalar);
+  // Slowest first, no gaps: the compiled levels are a prefix of the enum.
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    EXPECT_EQ(static_cast<std::size_t>(levels[i]), i);
+    EXPECT_FALSE(simd_level_name(levels[i]).empty());
+  }
+  EXPECT_TRUE(simd_level_runnable(SimdLevel::kScalar));
+}
+
+TEST(SimdDispatch, StartsAtTheBestRunnableLevel) {
+  const SimdLevel best = best_simd_level();
+  EXPECT_TRUE(simd_level_runnable(best));
+  for (const SimdLevel level : kEveryLevel) {
+    if (level > best) {
+      EXPECT_FALSE(simd_level_runnable(level));
+    }
+  }
+  const auto dispatch = make_probe_dispatch();
+  EXPECT_EQ(dispatch->active(), best);
+  EXPECT_EQ(dispatch->fn()(), static_cast<std::size_t>(best));
+  for (const SimdLevel level : kCompiledSimdLevels) {
+    EXPECT_EQ(dispatch->kernel(level)(), static_cast<std::size_t>(level));
+  }
+}
+
+// set() switches to every runnable level and refuses the rest, leaving the
+// active level and kernel as they were; kernel() of a refused level is
+// the scalar reference.
+TEST(SimdDispatch, SetRefusesUncompiledOrUnrunnableLevels) {
+  const auto dispatch = make_probe_dispatch();
+  const SimdLevel foreign = static_cast<SimdLevel>(kCompiledSimdLevels.size());
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kBaseline, SimdLevel::kAvx2, foreign}) {
+    const SimdLevel before = dispatch->active();
+    const bool runnable = simd_level_runnable(level);
+    EXPECT_EQ(dispatch->set(level), runnable);
+    const SimdLevel now = runnable ? level : before;
+    EXPECT_EQ(dispatch->active(), now);
+    EXPECT_EQ(dispatch->fn()(), static_cast<std::size_t>(now));
+    EXPECT_EQ(dispatch->kernel(level)(),
+              runnable ? static_cast<std::size_t>(level) : 0u);
+  }
+  EXPECT_FALSE(simd_level_runnable(foreign));
+}
+
+// CMake's -DVP_DISABLE_SIMD=ON defines VP_DISABLE_SIMD for every target and
+// leaves the scalar reference alone; otherwise x86-64 compiles SSE2 and
+// AVX2, and ARM with NEON its baseline.
+TEST(SimdDispatch, DisableSimdCompilesScalarOnly) {
+  const std::vector<SimdLevel> levels(kCompiledSimdLevels.begin(),
+                                      kCompiledSimdLevels.end());
+#if defined(VP_DISABLE_SIMD)
+  EXPECT_EQ(levels, std::vector<SimdLevel>{SimdLevel::kScalar});
+#elif defined(__x86_64__)
+  EXPECT_EQ(levels, (std::vector<SimdLevel>{
+                        SimdLevel::kScalar, SimdLevel::kBaseline,
+                        SimdLevel::kAvx2}));
+#elif defined(__ARM_NEON)
+  EXPECT_EQ(levels, (std::vector<SimdLevel>{SimdLevel::kScalar,
+                                            SimdLevel::kBaseline}));
+#endif
 }
 
 }  // namespace
